@@ -89,7 +89,8 @@ func main() {
 
 // buildSpec constructs the campaign the named tool would run locally,
 // mirroring that tool's spec construction exactly — digests from a fleet
-// run must match the single-machine tool's.
+// run must match the single-machine tool's. The fault plan and the fleet
+// spec ride every tool's Timing, canonicalized the way the tools do it.
 func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats int, gens string, runs, pipelineLag int) (campaign.Spec, string, error) {
 	if maps < 1 || maps > 10 || scenarios < 1 || scenarios > worldgen.NumScenariosPerMap {
 		return campaign.Spec{}, "", fmt.Errorf("-maps must be 1-10 and -scenarios 1-10")
@@ -98,7 +99,13 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 	if err != nil {
 		return campaign.Spec{}, "", err
 	}
+	fleet, err := cf.FleetSpec()
+	if err != nil {
+		return campaign.Spec{}, "", err
+	}
 
+	var spec campaign.Spec
+	profile := ""
 	switch tool {
 	case "sil":
 		var selected []core.Generation
@@ -115,7 +122,7 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 		if len(selected) == 0 {
 			return campaign.Spec{}, "", fmt.Errorf("-systems %q selects no generation", gens)
 		}
-		spec := campaign.Spec{
+		spec = campaign.Spec{
 			Maps:        campaign.Range(maps),
 			Scenarios:   campaign.Range(scenarios),
 			Repeats:     repeats,
@@ -126,27 +133,18 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 			spec.Timing.Pipeline = scenario.PipelineOn
 			spec.Timing.PipelineLatencyTicks = pipelineLag
 		}
-		if cf.Fast {
-			spec.Timing = spec.Timing.WithFast()
-		}
-		spec.Timing.Faults = faultPlan
-		return spec, "", nil
 
 	case "hil-maxn", "hil-5w":
-		profile := hil.JetsonNanoMAXN()
+		hw := hil.JetsonNanoMAXN()
 		if tool == "hil-5w" {
-			profile = hil.JetsonNano5W()
+			hw = hil.JetsonNano5W()
 		}
 		costs := hil.NanoCosts()
-		plan := hil.DerivePlan(profile, costs)
+		plan := hil.DerivePlan(hw, costs)
 		if cf.Pipeline {
-			plan = hil.DerivePipelinedPlan(profile, costs)
+			plan = hil.DerivePipelinedPlan(hw, costs)
 		}
-		plan.Timing.Faults = faultPlan
-		if cf.Fast {
-			plan.Timing = plan.Timing.WithFast()
-		}
-		return campaign.Spec{
+		spec = campaign.Spec{
 			Maps:        campaign.Range(maps),
 			Scenarios:   campaign.Range(scenarios),
 			Repeats:     repeats,
@@ -155,7 +153,8 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 			Seed: func(c campaign.Cell) int64 {
 				return int64(c.MapIdx)*1_000_003 + int64(c.ScenarioIdx)*9_176 + int64(c.Rep)*77_711 + 300
 			},
-		}, tool, nil
+		}
+		profile = tool
 
 	case "field":
 		if runs < 1 {
@@ -164,10 +163,6 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 		plan := hil.DerivePlan(hil.JetsonNanoMAXN(), hil.FieldCosts())
 		if cf.Pipeline {
 			plan = hil.DerivePipelinedPlan(hil.JetsonNanoMAXN(), hil.FieldCosts())
-		}
-		plan.Timing.Faults = faultPlan
-		if cf.Fast {
-			plan.Timing = plan.Timing.WithFast()
 		}
 		fieldMaps := []int{0, 2, 4, 5}
 		cells := make([]campaign.Cell, runs)
@@ -179,11 +174,22 @@ func buildSpec(cf *cliutil.CampaignFlags, tool string, maps, scenarios, repeats 
 				Rep:         i,
 			}
 		}
-		return campaign.Spec{
+		spec = campaign.Spec{
 			Cells:  cells,
 			Timing: plan.Timing,
 			Seed:   func(c campaign.Cell) int64 { return int64(c.Rep)*104_729 + 77 },
-		}, "field", nil
+		}
+		profile = "field"
+
+	default:
+		return campaign.Spec{}, "", fmt.Errorf("unknown -tool %q (want sil, hil-maxn, hil-5w or field)", tool)
 	}
-	return campaign.Spec{}, "", fmt.Errorf("unknown -tool %q (want sil, hil-maxn, hil-5w or field)", tool)
+
+	if cf.Fast {
+		spec.Timing = spec.Timing.WithFast()
+	}
+	spec.Timing.Faults = faultPlan
+	spec.Timing.Fleet = fleet
+	spec.Timing = spec.Timing.Canonical()
+	return spec, profile, nil
 }

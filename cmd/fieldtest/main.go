@@ -34,6 +34,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hil"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/worldgen"
@@ -173,7 +174,7 @@ func main() {
 		sys.SetGuardInterval(plan.GuardInterval)
 		mon := hil.NewMonitor(profile, costs)
 		mons[ru.Index] = mon
-		cfg.Observer = mon
+		cfg.Observer, cfg.Recorder = mon, mon
 		cfg.ErroneousDepthRate = 0.04 // Fig. 5c spurious clusters
 	}
 
@@ -279,7 +280,9 @@ func main() {
 		for _, mon := range mons {
 			if mon != nil && len(mon.FaultEvents()) > 0 {
 				fmt.Println("fault timeline of the first monitored flight:")
-				fmt.Println(telemetry.FormatFaultTimeline(mon.FaultEvents()))
+				for _, ev := range mon.FaultEvents() {
+					fmt.Println(obs.FormatEvent(ev))
+				}
 				break
 			}
 		}

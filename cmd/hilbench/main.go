@@ -31,6 +31,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hil"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/worldgen"
@@ -158,7 +159,7 @@ func main() {
 		sys.SetGuardInterval(plan.GuardInterval)
 		mon := hil.NewMonitor(profile, costs)
 		mons[ru.Index] = mon
-		cfg.Observer = mon
+		cfg.Observer, cfg.Recorder = mon, mon
 	}
 
 	opts := cf.Options("hilbench")
@@ -169,8 +170,9 @@ func main() {
 		}
 	}
 
-	// The flight recorder chains behind the monitor hook and the ordered
-	// result stream: one header + events block per run, canonical order.
+	// The flight recorder chains behind the monitor hook (both receive
+	// every event) and the ordered result stream: one header + events
+	// block per run, canonical order.
 	closeTrace, err := cf.WireTrace(&spec, &opts)
 	if err != nil {
 		cliutil.Fatal("hilbench", 1, err)
@@ -256,7 +258,9 @@ func main() {
 		for _, mon := range mons {
 			if mon != nil && len(mon.FaultEvents()) > 0 {
 				fmt.Println("fault timeline of the first monitored run:")
-				fmt.Println(telemetry.FormatFaultTimeline(mon.FaultEvents()))
+				for _, ev := range mon.FaultEvents() {
+					fmt.Println(obs.FormatEvent(ev))
+				}
 				break
 			}
 		}

@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hil"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/worldgen"
@@ -89,7 +90,7 @@ func main() {
 		spec.Configure = func(ru campaign.Run, _ *worldgen.Scenario, _ *core.System, cfg *scenario.RunConfig) {
 			mon := hil.NewMonitor(hil.DesktopSIL(), hil.NanoCosts())
 			mons[ru.Index] = mon
-			cfg.Observer = mon
+			cfg.Observer, cfg.Recorder = mon, mon
 		}
 		report, err := campaign.Execute(context.Background(), spec,
 			campaign.Options{Workers: *workers})
@@ -98,8 +99,10 @@ func main() {
 		}
 		for _, mon := range mons {
 			if mon != nil && len(mon.FaultEvents()) > 0 {
-				fmt.Printf("%-17s timeline of one mission:\n%s\n",
-					ex.name, telemetry.FormatFaultTimeline(mon.FaultEvents()))
+				fmt.Printf("%-17s timeline of one mission:\n", ex.name)
+				for _, ev := range mon.FaultEvents() {
+					fmt.Println(obs.FormatEvent(ev))
+				}
 				break
 			}
 		}

@@ -27,11 +27,11 @@ const DefaultTraceCap = 1 << 16
 
 // WireTrace arms -trace on a locally executed campaign: every run flies
 // with its own flight recorder (installed through the spec's Configure
-// hook), and each finished run appends one header + events block to the
-// trace file through the ordered OnResult stream — so the file is in
-// canonical run order and byte-identical at any worker count. Runs
-// replayed from a checkpoint journal never re-fly and so contribute no
-// trace block.
+// hook, fanned out beside any recorder the tool's own hook installed),
+// and each finished run appends one header + events block to the trace
+// file through the ordered OnResult stream — so the file is in canonical
+// run order and byte-identical at any worker count. Runs replayed from a
+// checkpoint journal never re-fly and so contribute no trace block.
 //
 // The returned close function flushes and closes the file; call it once
 // the campaign is done (it is nil-safe to call when -trace is unset).
@@ -56,7 +56,11 @@ func (f *CampaignFlags) WireTrace(spec *campaign.Spec, opts *campaign.Options) (
 		}
 		tr := obs.NewTrace(DefaultTraceCap)
 		traces.Store(ru.Index, tr)
-		cfg.Recorder = tr
+		if cfg.Recorder != nil {
+			cfg.Recorder = tee{cfg.Recorder, tr}
+		} else {
+			cfg.Recorder = tr
+		}
 	}
 
 	var werr error
@@ -90,6 +94,14 @@ func (f *CampaignFlags) WireTrace(spec *campaign.Spec, opts *campaign.Options) (
 		}
 		return file.Close()
 	}, nil
+}
+
+// tee fans one run's events out to two recorders, in order.
+type tee [2]obs.Recorder
+
+func (t tee) Record(ev obs.Event) {
+	t[0].Record(ev)
+	t[1].Record(ev)
 }
 
 // StartDebug arms -debug: the standard debug surface (GET /metrics plus

@@ -3,13 +3,18 @@ package cliutil
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
+	"repro/internal/hil"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/worldgen"
 )
 
 // traceSpec is a small campaign with a fault plan, so traces carry the
@@ -99,6 +104,63 @@ func TestTraceResumeSkipsReplayedRuns(t *testing.T) {
 	resumed := runTraced(t, spec, 2, journal)
 	if len(resumed) != 0 {
 		t.Fatalf("fully replayed campaign wrote %d trace bytes; replays must record nothing", len(resumed))
+	}
+}
+
+// TestTraceFansOutToMonitor: a tool hook that installs its own recorder
+// (hil.Monitor, as hilbench and fieldtest do) and -trace both receive
+// every event of every run — the monitor's fault timeline and stage
+// counters match the run's block in the trace file exactly.
+func TestTraceFansOutToMonitor(t *testing.T) {
+	spec := traceSpec(t)
+	mons := make([]*hil.Monitor, spec.Total())
+	spec.Configure = func(ru campaign.Run, _ *worldgen.Scenario, _ *core.System, cfg *scenario.RunConfig) {
+		mon := hil.NewMonitor(hil.DesktopSIL(), hil.NanoCosts())
+		mons[ru.Index] = mon
+		cfg.Observer, cfg.Recorder = mon, mon
+	}
+	data := runTraced(t, spec, 2, "")
+
+	// Split the file into per-run fault and apply events.
+	faults := map[int][]obs.Event{}
+	applies := map[int]int{}
+	run := -1
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for dec.More() {
+		var line struct {
+			obs.Event
+			Run int `json:"run"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		switch line.Kind {
+		case "run":
+			run = line.Run
+		case "fault":
+			faults[run] = append(faults[run], line.Event)
+		case "apply":
+			applies[run]++
+		}
+	}
+
+	faulted := 0
+	for i, mon := range mons {
+		if mon == nil {
+			t.Fatalf("run %d flew without its monitor", i)
+		}
+		if !reflect.DeepEqual(mon.FaultEvents(), faults[i]) {
+			t.Fatalf("run %d: monitor timeline %+v, trace %+v", i, mon.FaultEvents(), faults[i])
+		}
+		if batches, _, _, _, _ := mon.StageStats(); batches != applies[i] || batches == 0 {
+			t.Fatalf("run %d: monitor saw %d perception batches, trace %d", i, batches, applies[i])
+		}
+		if len(faults[i]) > 0 {
+			faulted++
+		}
+	}
+	if faulted == 0 {
+		t.Fatal("no run recorded a fault edge; the test pins nothing")
 	}
 }
 

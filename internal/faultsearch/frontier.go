@@ -139,9 +139,10 @@ func Generate(ctx context.Context, cfg GenerateConfig) (*Frontier, error) {
 	}
 
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		firstErr  error
+		baselines = make([]float64, len(models))
 	)
 	sem := make(chan struct{}, workers)
 	for i, m := range models {
@@ -174,9 +175,7 @@ func Generate(ctx context.Context, cfg GenerateConfig) (*Frontier, error) {
 				return
 			}
 			ft.Rows[i] = RowOf(o)
-			if ft.BaselineSeconds == 0 {
-				ft.BaselineSeconds = o.BaselineSeconds
-			}
+			baselines[i] = o.BaselineSeconds
 			if cfg.OnOutcome != nil {
 				cfg.OnOutcome(o)
 			}
@@ -188,6 +187,14 @@ func Generate(ctx context.Context, cfg GenerateConfig) (*Frontier, error) {
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	// The first baseline in model order, not completion order, so the
+	// table is the same at any worker count.
+	for _, b := range baselines {
+		if b != 0 {
+			ft.BaselineSeconds = b
+			break
+		}
 	}
 	return ft, nil
 }

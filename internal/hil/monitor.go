@@ -1,7 +1,9 @@
 package hil
 
 import (
-	"repro/internal/telemetry"
+	"strings"
+
+	"repro/internal/obs"
 )
 
 // Sample is one resource-usage observation (Fig. 7 series point).
@@ -18,7 +20,9 @@ type Sample struct {
 // Monitor accumulates the resource time series of one mission, modeling
 // how the stack's work maps onto the platform's cores: detection pins one
 // core, mapping and planning share a second, control a third, and the
-// camera feed (field profile) spreads across the remainder.
+// camera feed (field profile) spreads across the remainder. Attach it as
+// both RunConfig.Observer (module activity) and RunConfig.Recorder (fault
+// edges and perception deliveries).
 type Monitor struct {
 	Profile Profile
 	Costs   ModuleCosts
@@ -29,18 +33,18 @@ type Monitor struct {
 	detectMS, mapMS, planMS, controlMS float64
 	window                             float64
 
-	// Stage-timing counters (pipelined runner): one batch is the detector
-	// and/or depth work of one tick-stamped perception job; delay is the
-	// capture-to-apply distance in control ticks.
+	// Stage-timing counters, rebuilt from the mission's apply events: one
+	// batch is the detector and/or depth work of one applied perception
+	// result; delay is its capture-to-apply distance in control ticks.
 	stageBatches  int
 	stageDetects  int
 	stageDepths   int
 	stageDelaySum int
 	stageDelayMax int
 
-	// Fault-event timeline (dependability campaigns): every injection and
-	// clearance edge the run's fault plan produced, in mission order.
-	faultEvents []telemetry.FaultEvent
+	// Fault-event timeline (dependability campaigns): the mission's fault
+	// events — every injection and clearance edge — in mission order.
+	faultEvents []obs.Event
 }
 
 // NewMonitor returns a monitor for a profile.
@@ -60,37 +64,39 @@ func (m *Monitor) RecordPlan() { m.planMS += m.Costs.PlanMS }
 // RecordControl notes one control tick.
 func (m *Monitor) RecordControl() { m.controlMS += m.Costs.ControlMS }
 
-// RecordStage notes one applied perception batch of the pipelined runner
-// (scenario.StageObserver): which modules it carried and how many control
-// ticks passed between its capture and its delivery.
-func (m *Monitor) RecordStage(ranDetect, ranDepth bool, delayTicks int) {
-	m.stageBatches++
-	if ranDetect {
-		m.stageDetects++
+// Record implements obs.Recorder: the monitor rebuilds its fault timeline
+// and stage timing from the mission's own flight-recorder events. Only
+// member 0 is monitored — a solo mission, or a fleet's primary.
+func (m *Monitor) Record(ev obs.Event) {
+	if ev.Member != 0 {
+		return
 	}
-	if ranDepth {
-		m.stageDepths++
-	}
-	m.stageDelaySum += delayTicks
-	if delayTicks > m.stageDelayMax {
-		m.stageDelayMax = delayTicks
+	switch ev.Kind {
+	case "fault":
+		m.faultEvents = append(m.faultEvents, ev)
+	case "apply":
+		m.stageBatches++
+		if strings.Contains(ev.Detail, "frame") {
+			m.stageDetects++
+		}
+		if strings.Contains(ev.Detail, "depth") {
+			m.stageDepths++
+		}
+		delay := int(ev.Value)
+		m.stageDelaySum += delay
+		if delay > m.stageDelayMax {
+			m.stageDelayMax = delay
+		}
 	}
 }
 
-// RecordFault notes one fault activation/deactivation edge
-// (scenario.FaultObserver): the fault-event timeline accumulates next to
-// the resource series, so one monitor tells a mission's whole
-// dependability story.
-func (m *Monitor) RecordFault(kind string, active bool, t float64) {
-	m.faultEvents = append(m.faultEvents, telemetry.FaultEvent{T: t, Kind: kind, Active: active})
-}
+// FaultEvents returns the recorded fault-event timeline; obs.FormatEvent
+// renders each edge.
+func (m *Monitor) FaultEvents() []obs.Event { return m.faultEvents }
 
-// FaultEvents returns the recorded fault-event timeline.
-func (m *Monitor) FaultEvents() []telemetry.FaultEvent { return m.faultEvents }
-
-// StageStats summarizes the pipelined perception batches this mission
-// applied: batch/detect/depth counts plus the mean and max tick-stamped
-// delivery delay. All zeros when the mission ran inline.
+// StageStats summarizes the perception batches this mission applied:
+// batch/detect/depth counts plus the mean and max tick-stamped delivery
+// delay (0 under PipelineOff, which applies in the capture tick).
 func (m *Monitor) StageStats() (batches, detects, depths int, meanDelay float64, maxDelay int) {
 	if m.stageBatches == 0 {
 		return 0, 0, 0, 0, 0

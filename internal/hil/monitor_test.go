@@ -4,12 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/worldgen"
 )
 
-// Coverage for the monitor's cadence accounting and the new stage-timing
-// counters, plus the pipelined plan derivation — the pieces the pipelined
-// runner reports through.
+// Coverage for the monitor's cadence accounting and its event-derived
+// stage-timing counters, plus the pipelined plan derivation — the pieces
+// the pipelined runner reports through.
 
 // TestMonitorCadenceAccounting checks the per-window work accrual: no
 // sample before a full second of Advance, one sample after, and the
@@ -48,21 +52,24 @@ func TestMonitorCadenceAccounting(t *testing.T) {
 	}
 }
 
-// TestMonitorStageCounters exercises RecordStage/StageStats across mixed
-// batches.
+// TestMonitorStageCounters exercises the apply-event stage counters
+// across mixed batches; wingmen and other kinds are not counted.
 func TestMonitorStageCounters(t *testing.T) {
 	m := NewMonitor(JetsonNanoMAXN(), NanoCosts())
 	if b, de, dp, mean, max := m.StageStats(); b != 0 || de != 0 || dp != 0 || mean != 0 || max != 0 {
 		t.Fatal("fresh monitor reports stage activity")
 	}
 
-	m.RecordStage(true, true, 13)
-	m.RecordStage(true, false, 13)
-	m.RecordStage(false, true, 10)
+	m.Record(obs.Event{Kind: "apply", Detail: "depth+frame", Value: 13})
+	m.Record(obs.Event{Kind: "apply", Detail: "frame", Value: 13})
+	m.Record(obs.Event{Kind: "apply", Detail: "depth", Value: 10})
+	m.Record(obs.Event{Kind: "apply", Detail: "none", Value: 12})
+	m.Record(obs.Event{Kind: "apply", Detail: "depth+frame", Value: 40, Member: 1})
+	m.Record(obs.Event{Kind: "capture", Detail: "depth+frame"})
 
 	b, de, dp, mean, max := m.StageStats()
-	if b != 3 || de != 2 || dp != 2 {
-		t.Fatalf("counters: batches=%d detects=%d depths=%d, want 3/2/2", b, de, dp)
+	if b != 4 || de != 2 || dp != 2 {
+		t.Fatalf("counters: batches=%d detects=%d depths=%d, want 4/2/2", b, de, dp)
 	}
 	if want := 12.0; mean != want {
 		t.Fatalf("mean delay %.2f, want %.2f", mean, want)
@@ -72,13 +79,37 @@ func TestMonitorStageCounters(t *testing.T) {
 	}
 }
 
-// TestMonitorIsStageObserver pins the interface contract the runner
-// depends on: a *Monitor attached as RunConfig.Observer must be picked up
-// by the pipelined runner's StageObserver assertion.
-func TestMonitorIsStageObserver(t *testing.T) {
-	var obs scenario.ResourceObserver = NewMonitor(DesktopSIL(), NanoCosts())
-	if _, ok := obs.(scenario.StageObserver); !ok {
-		t.Fatal("*hil.Monitor no longer satisfies scenario.StageObserver")
+// TestMonitorIsRecorder attaches a monitor to a real pipelined, faulted
+// mission as its flight recorder: the stage counters and the fault
+// timeline must come out of the mission's own events.
+func TestMonitorIsRecorder(t *testing.T) {
+	const k = 3
+	timing := scenario.SILTiming()
+	timing.Pipeline = scenario.PipelineOn
+	timing.PipelineLatencyTicks = k
+	timing.Faults = &fault.Plan{Faults: []fault.Fault{{Kind: fault.DepthDropout, Start: 2, Duration: 3}}}
+	mon := NewMonitor(DesktopSIL(), NanoCosts())
+	_, err := scenario.RunGridCell(core.V1, 1, 0, scenario.GridSeed(core.V1, 1, 0, 0), timing,
+		func(_ *worldgen.Scenario, _ *core.System, cfg *scenario.RunConfig) {
+			cfg.Observer, cfg.Recorder = mon, mon
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, de, dp, mean, max := mon.StageStats()
+	if b == 0 || de == 0 || dp == 0 {
+		t.Fatalf("stage counters empty: batches=%d detects=%d depths=%d", b, de, dp)
+	}
+	if mean != k || max != k {
+		t.Fatalf("delivery delay mean %.2f max %d, want %d", mean, max, k)
+	}
+	evs := mon.FaultEvents()
+	if len(evs) != 2 || evs[0].Phase != obs.PhaseEnter || evs[1].Phase != obs.PhaseExit ||
+		evs[0].Detail != string(fault.DepthDropout) {
+		t.Fatalf("fault timeline %+v, want one depth-dropout enter/exit pair", evs)
+	}
+	if len(mon.Samples()) == 0 {
+		t.Fatal("no resource samples: the monitor lost its observer half")
 	}
 }
 
@@ -167,24 +198,25 @@ func TestMonitorPeakAndMeans(t *testing.T) {
 	}
 }
 
-// TestMonitorFaultTimeline: the monitor is a scenario.FaultObserver and
-// accumulates the fault-event timeline in mission order.
+// TestMonitorFaultTimeline: the monitor keeps the member-0 fault events
+// in mission order and nothing else.
 func TestMonitorFaultTimeline(t *testing.T) {
 	mon := NewMonitor(JetsonNanoMAXN(), NanoCosts())
-	var _ scenario.FaultObserver = mon
 	if len(mon.FaultEvents()) != 0 {
 		t.Fatal("fresh monitor has fault events")
 	}
-	mon.RecordFault("wind-gust", true, 10)
-	mon.RecordFault("wind-gust", false, 14)
+	mon.Record(obs.Event{Tick: 200, T: 10, Kind: "fault", Detail: "wind-gust", Phase: obs.PhaseEnter})
+	mon.Record(obs.Event{Tick: 200, T: 10, Kind: "degraded", Phase: obs.PhaseEnter})
+	mon.Record(obs.Event{Tick: 210, T: 10.5, Kind: "fault", Detail: "gps-drift", Phase: obs.PhaseEnter, Member: 2})
+	mon.Record(obs.Event{Tick: 280, T: 14, Kind: "fault", Detail: "wind-gust", Phase: obs.PhaseExit})
 	evs := mon.FaultEvents()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d, want 2", len(evs))
 	}
-	if evs[0].Kind != "wind-gust" || !evs[0].Active || evs[0].T != 10 {
+	if evs[0].Detail != "wind-gust" || evs[0].Phase != obs.PhaseEnter || evs[0].T != 10 {
 		t.Errorf("first event %+v", evs[0])
 	}
-	if evs[1].Active || evs[1].T != 14 {
+	if evs[1].Phase != obs.PhaseExit || evs[1].T != 14 {
 		t.Errorf("second event %+v", evs[1])
 	}
 }

@@ -112,8 +112,8 @@ func (c *runChecker) check(line int, ev Event) []string {
 
 // CheckOptions configures CheckTrace output.
 type CheckOptions struct {
-	// Timeline prints a human-readable per-run event timeline to Out
-	// (telemetry.FormatFaultTimeline's style).
+	// Timeline prints a human-readable per-run event timeline to Out,
+	// one FormatEvent line per event.
 	Timeline bool
 	// Out receives the timeline and violation report; nil discards it.
 	Out io.Writer
@@ -208,8 +208,9 @@ func CheckTrace(r io.Reader, opts CheckOptions) (CheckStats, error) {
 	return stats, nil
 }
 
-// FormatEvent renders one event in the fault-timeline style
-// ("t=%7.2fs  ..."), one line, no trailing newline.
+// FormatEvent renders one event as a timeline line ("t=%7.2fs  tick
+// ..."), no trailing newline: tracecheck -timeline and the bench tools'
+// fault timelines print it.
 func FormatEvent(ev Event) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%7.2fs  tick %5d", ev.T, ev.Tick)

@@ -162,7 +162,7 @@ func fleetSpawn(w *sim.World, member int, spacing, radius float64) geom.Vec3 {
 //
 // The lockstep protocol per tick: (1) rebuild the overlay from every
 // airborne member's start-of-tick position; (2) advance each member by
-// one inline control tick in member order — every sensor sees the same
+// one control tick in member order — every sensor sees the same
 // overlay snapshot, so sensing is symmetric and the member order only
 // matters for physics that already happened; (3) run the pairwise
 // separation accounting on the post-tick positions. Members that land or
@@ -235,7 +235,7 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 			if status[j] != tickContinue {
 				continue
 			}
-			st := m.tickInline(i)
+			st := m.tick(i)
 			if st != tickContinue {
 				if st == tickDone {
 					m.classify()
@@ -290,6 +290,7 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 		if status[j] == tickContinue {
 			m.classify()
 		}
+		m.finish()
 	}
 
 	res := members[0].res

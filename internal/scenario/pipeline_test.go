@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/worldgen"
 )
 
@@ -16,10 +18,37 @@ func pipelineTiming(k int) Timing {
 	return t
 }
 
+// oraclePlan is one fault plan the k=0 oracles fly (nil: nominal).
+type oraclePlan struct {
+	name string
+	plan *fault.Plan
+}
+
+// oraclePlans returns nominal and every fault preset, trimmed under
+// -short to the presets that rewire the perception side (dropouts and
+// noise, detector taps, link blackouts).
+func oraclePlans(t *testing.T) []oraclePlan {
+	t.Helper()
+	names := fault.Presets()
+	if testing.Short() {
+		names = []string{"sensor", "detector", "blackout"}
+	}
+	plans := []oraclePlan{{name: "nominal"}}
+	for _, name := range names {
+		plan, err := fault.ParsePlan(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, oraclePlan{name, plan})
+	}
+	return plans
+}
+
 // TestPipelineSyncMatchesInline is the pipeline's inline oracle: with
 // k == 0 the staged runner performs a synchronous handoff each tick, so
 // every Result must be bit-identical to PipelineOff — same captures, same
-// detections, same accounting, different machinery.
+// detections, same accounting, different machinery — nominally and under
+// every fault preset. Under -short the presets fly the first cell only.
 func TestPipelineSyncMatchesInline(t *testing.T) {
 	type cell struct {
 		gen    core.Generation
@@ -31,19 +60,29 @@ func TestPipelineSyncMatchesInline(t *testing.T) {
 	if testing.Short() {
 		cells = cells[:2]
 	}
-	for _, c := range cells {
+	for ci, c := range cells {
 		seed := GridSeed(c.gen, c.mi, c.si, 0)
-		off, err := RunGridCell(c.gen, c.mi, c.si, seed, SILTiming(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		on, err := RunGridCell(c.gen, c.mi, c.si, seed, pipelineTiming(0), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameResult(off, on) {
-			t.Fatalf("%v map %d scenario %d: synchronous pipeline diverged from inline\ninline:    %+v\npipelined: %+v",
-				c.gen, c.mi, c.si, off, on)
+		for _, p := range oraclePlans(t) {
+			if testing.Short() && ci > 0 && p.plan != nil {
+				continue
+			}
+			off := SILTiming()
+			off.Faults = p.plan
+			on := off
+			on.Pipeline = PipelineOn
+			on.PipelineLatencyTicks = 0
+			want, err := RunGridCell(c.gen, c.mi, c.si, seed, off, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunGridCell(c.gen, c.mi, c.si, seed, on, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(want, got) {
+				t.Fatalf("%v map %d scenario %d, %s: synchronous pipeline diverged from inline\ninline:    %+v\npipelined: %+v",
+					c.gen, c.mi, c.si, p.name, want, got)
+			}
 		}
 	}
 }
@@ -96,46 +135,48 @@ func TestPipelineLatencyChangesDelivery(t *testing.T) {
 	}
 }
 
-// stageRecorder implements ResourceObserver + StageObserver for the tests.
-type stageRecorder struct {
+// moduleCounter is a ResourceObserver counting module activity.
+type moduleCounter struct {
 	detects, depths, controls int
-	stageBatches              int
-	delays                    []int
 }
 
-func (r *stageRecorder) RecordDetect()                 { r.detects++ }
-func (r *stageRecorder) RecordDepth()                  { r.depths++ }
-func (r *stageRecorder) RecordPlan()                   {}
-func (r *stageRecorder) RecordControl()                { r.controls++ }
-func (r *stageRecorder) Advance(dt, t float64, mb int) {}
-func (r *stageRecorder) RecordStage(det, dep bool, k int) {
-	r.stageBatches++
-	r.delays = append(r.delays, k)
-}
+func (r *moduleCounter) RecordDetect()                 { r.detects++ }
+func (r *moduleCounter) RecordDepth()                  { r.depths++ }
+func (r *moduleCounter) RecordPlan()                   {}
+func (r *moduleCounter) RecordControl()                { r.controls++ }
+func (r *moduleCounter) Advance(dt, t float64, mb int) {}
 
-// TestPipelineStageObserver proves every applied perception batch reports
-// its tick-stamped delivery delay — exactly k for every batch — and that
-// module-activity callbacks keep firing under the pipelined runner.
-func TestPipelineStageObserver(t *testing.T) {
+// TestPipelineApplyLag proves every applied perception batch records its
+// tick-stamped delivery delay on the flight recorder — exactly k for every
+// batch — and that module-activity callbacks keep firing under the
+// pipelined runner.
+func TestPipelineApplyLag(t *testing.T) {
 	const k = 2
-	rec := &stageRecorder{}
+	mods := &moduleCounter{}
+	tr := obs.NewTrace(1 << 16)
 	configure := func(sc *worldgen.Scenario, sys *core.System, cfg *RunConfig) {
-		cfg.Observer = rec
+		cfg.Observer = mods
+		cfg.Recorder = tr
 	}
 	if _, err := RunGridCell(core.V3, 2, 4, GridSeed(core.V3, 2, 4, 0), pipelineTiming(k), configure); err != nil {
 		t.Fatal(err)
 	}
-	if rec.stageBatches == 0 {
-		t.Fatal("no perception batches observed")
-	}
-	if rec.detects == 0 || rec.depths == 0 || rec.controls == 0 {
-		t.Fatalf("module activity lost under the pipeline: detects=%d depths=%d controls=%d",
-			rec.detects, rec.depths, rec.controls)
-	}
-	for i, d := range rec.delays {
-		if d != k {
-			t.Fatalf("batch %d delivered with delay %d ticks, want %d", i, d, k)
+	applies := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind != "apply" {
+			continue
 		}
+		applies++
+		if ev.Value != k {
+			t.Fatalf("batch at tick %d delivered with delay %v ticks, want %d", ev.Tick, ev.Value, k)
+		}
+	}
+	if applies == 0 {
+		t.Fatal("no perception batches applied")
+	}
+	if mods.detects == 0 || mods.depths == 0 || mods.controls == 0 {
+		t.Fatalf("module activity lost under the pipeline: detects=%d depths=%d controls=%d",
+			mods.detects, mods.depths, mods.controls)
 	}
 }
 

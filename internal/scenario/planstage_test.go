@@ -153,20 +153,19 @@ func TestPlanStageEarlyTerminationDrains(t *testing.T) {
 }
 
 // TestPlanStageStatsAccumulate: staged runs must account their plan counts
-// and stage time into the process-wide counters silbench reports.
+// and stage time into the process-wide registry series silbench reports.
 func TestPlanStageStatsAccumulate(t *testing.T) {
-	before := ReadPlanStageStats()
+	runs, plans, busy := mPlanRuns.Load(), mPlanDelivered.Load(), mPlanStageNs.Load()
 	if _, err := RunGridCell(core.V3, 2, 4, GridSeed(core.V3, 2, 4, 0), planTiming(2), nil); err != nil {
 		t.Fatal(err)
 	}
-	after := ReadPlanStageStats()
-	if after.Runs <= before.Runs {
-		t.Fatalf("runs did not advance: %+v -> %+v", before, after)
+	if got := mPlanRuns.Load(); got <= runs {
+		t.Fatalf("runs did not advance: %d -> %d", runs, got)
 	}
-	if after.Plans <= before.Plans {
-		t.Fatalf("no plans accounted: %+v -> %+v", before, after)
+	if got := mPlanDelivered.Load(); got <= plans {
+		t.Fatalf("no plans accounted: %d -> %d", plans, got)
 	}
-	if after.StageBusy <= before.StageBusy {
-		t.Fatalf("no stage time accounted: %+v -> %+v", before, after)
+	if got := mPlanStageNs.Load(); got <= busy {
+		t.Fatalf("no stage time accounted: %d -> %d", busy, got)
 	}
 }

@@ -7,17 +7,20 @@
 // The runner is the only component that touches ground truth; the system
 // under test sees sensors exclusively.
 //
-// Since the pipelined-perception refactor the runner is a small staged
-// subsystem rather than one function: a mission bundles the simulated
-// vehicle, its sensors and the system under test; Timing.Pipeline selects
-// whether perception (detection + depth capture) executes inline on the
-// control loop (PipelineOff, the historical order) or concurrently on its
-// own stage with tick-stamped delivery (PipelineOn, see pipeline.go).
+// A mission bundles the simulated vehicle, its sensors and the system
+// under test, and one tick body advances it: Run drives it solo, the
+// fleet runner drives many in lockstep. Perception results reach the
+// control loop through one tick-stamped stage (stage.go). Timing.Pipeline
+// selects whether that stage runs its work on the control loop at submit
+// time, delivering in the same tick (PipelineOff, the historical order),
+// or on its own goroutine, delivering k ticks later (PipelineOn, see
+// pipeline.go); staged planning is a second stage of the same type.
 package scenario
 
 import (
 	"math"
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/detect"
@@ -182,18 +185,10 @@ func (t Timing) WithFast() Timing {
 	return t
 }
 
-// FaultObserver is an optional ResourceObserver extension: observers that
-// implement it receive every fault activation and deactivation edge of a
-// fault campaign, so a platform model (hil.Monitor) can reconstruct the
-// fault-event timeline next to its resource series.
-type FaultObserver interface {
-	RecordFault(kind string, active bool, t float64)
-}
-
 // ResourceObserver receives module-activity callbacks during a run so a
 // platform model (internal/hil) can reconstruct CPU/memory series without
-// the runner depending on it. Observers may additionally implement
-// StageObserver to see pipelined perception-stage timing.
+// the runner depending on it. Fault edges and perception-stage timing
+// reach such a model through the flight recorder (RunConfig.Recorder).
 type ResourceObserver interface {
 	RecordDetect()
 	RecordDepth()
@@ -319,9 +314,9 @@ func (r Result) FalseNegativeRate() float64 {
 // mission bundles one run's actors: the simulated vehicle and its sensors
 // on the ground-truth side, the system under test on the other, plus the
 // run's accumulating Result. The control loop and (when pipelined) the
-// perception stage share it; field ownership is strict — the stage
-// goroutine touches only the immutable world/scenario, the stage-owned
-// depth and color cameras, and the system's detector.
+// perception stage share it; field ownership is strict — the perception
+// side touches only the immutable world/scenario, the depth and color
+// cameras, the depth-point ring, and the system's detector.
 type mission struct {
 	sc  *worldgen.Scenario
 	sys *core.System
@@ -335,10 +330,14 @@ type mission struct {
 	baro  *sim.Baro
 	lidar *sim.LidarAlt
 	// depth and color are owned by the perception side: the control loop
-	// in inline mode, the stage goroutine in pipelined mode.
+	// under PipelineOff, the stage goroutine under PipelineOn.
 	depth   *sim.DepthCamera
 	color   *sim.ColorCamera
 	windRng *rand.Rand
+	// depthRing rotates ownership of depth-point buffers across in-flight
+	// perception results (perception-side, like the cameras).
+	depthRing [][]core.DepthPoint
+	ringIdx   int
 
 	res   Result
 	now   float64
@@ -348,9 +347,6 @@ type mission struct {
 	// command from CommandLatencyTicks ago is always resident. Fixed-size,
 	// so the latency queue allocates once per run instead of cycling slices.
 	cmdRing []core.Command
-	// Reused depth-point scratch for the inline path: the system copies the
-	// points it keeps within Step, so one buffer serves every depth frame.
-	depthPts []core.DepthPoint
 
 	// Fault-injection state; all nil/zero (and never touched) on the
 	// nominal hot path. inj's control-side state belongs to the control
@@ -366,25 +362,20 @@ type mission struct {
 	heldCmd      core.Command
 	recoveryDone bool
 
-	// Inline-tick cadence state: the next mission times at which a depth
-	// capture / detection frame is due. Loop-local before the fleet
-	// lockstep runner; hoisted onto the mission so tickInline can be
-	// driven one tick at a time by runInline and runFleet alike.
+	// Perception cadence: the next mission times at which a depth capture
+	// / detection frame is due, and the stage their jobs go through.
 	nextDetect float64
 	nextDepth  float64
+	percept    *stage[perceptionJob, perceptionResult]
+	// start is the mission's wall-clock start (pipelined wall time).
+	start time.Time
 
-	// Staged-planner state; all nil/zero (one branch per tick) without
-	// PlanLatencyTicks. curTick is the control loop's current tick index,
-	// read by submitPlan to stamp requests; planDue is the delivery tick of
-	// the in-flight request.
-	plans        *planStage
+	// Staged planner; nil (one branch per tick) without PlanLatencyTicks.
+	// curTick is the control loop's current tick index, read by submitPlan
+	// to stamp requests.
+	plans        *stage[planJob, planResult]
 	curTick      int
-	planDue      int
-	planInFlight bool
-	planCount    int64
 	planStaleCnt int64
-	planStageNs  int64
-	planStallNs  int64
 
 	// Flight recorder; nil (one pointer check per site) unless the run
 	// opted in via RunConfig.Recorder. member tags fleet events (0 for
@@ -465,7 +456,44 @@ func newMission(sc *worldgen.Scenario, sys *core.System, cfg RunConfig) *mission
 		m.color.Fast = true
 		sys.EnableFastKernels()
 	}
+
+	// The stages come last, so a stage goroutine starts on a fully built
+	// mission. PipelineOff perception is the synchronous k = 0 handoff.
+	k := 0
+	if t.Pipeline == PipelineOn && t.PipelineLatencyTicks > 0 {
+		k = t.PipelineLatencyTicks
+	}
+	m.depthRing = make([][]core.DepthPoint, k+2)
+	m.percept = newStage(k, t.Pipeline == PipelineOn, m.perceive)
+	m.start = time.Now()
+	if k := t.PlanLatencyTicks; k >= 1 {
+		m.plans = newStage(k, true, m.plan)
+		sys.EnablePlanStage(m.submitPlan)
+	}
 	return m
+}
+
+// finish retires the mission's stages — draining work still in flight —
+// detaches the system's plan hook so the System can outlive the mission,
+// and folds the concurrent stages into the process-wide counters.
+func (m *mission) finish() {
+	m.percept.shutdown()
+	if m.t.Pipeline == PipelineOn {
+		mPipeRuns.Inc()
+		mPipeBatches.Add(m.percept.delivered)
+		mPipeStageNs.Add(m.percept.busyNs)
+		mPipeStallNs.Add(m.percept.stallNs)
+		mPipeWallNs.Add(time.Since(m.start).Nanoseconds())
+	}
+	if m.plans != nil {
+		m.plans.shutdown()
+		m.sys.DisablePlanStage()
+		mPlanRuns.Inc()
+		mPlanDelivered.Add(m.plans.delivered)
+		mPlanStale.Add(m.planStaleCnt)
+		mPlanStageNs.Add(m.plans.busyNs)
+		mPlanStallNs.Add(m.plans.stallNs)
+	}
 }
 
 // Run executes one closed-loop mission of sys on scenario sc. With an
@@ -476,19 +504,19 @@ func Run(sc *worldgen.Scenario, sys *core.System, cfg RunConfig) Result {
 		return runFleet(sc, sys, cfg, fl)
 	}
 	m := newMission(sc, sys, cfg)
-	if k := m.t.PlanLatencyTicks; k >= 1 {
-		m.plans = newPlanStage(k)
-		go m.plans.run(m)
-		m.sys.EnablePlanStage(m.submitPlan)
-		defer m.finishPlanStage()
+	defer m.finish()
+	for i := 0; i < m.steps; i++ {
+		switch m.tick(i) {
+		case tickCrashed:
+			return m.res
+		case tickDone:
+			return m.classify()
+		}
 	}
-	if m.t.Pipeline == PipelineOn {
-		return m.runPipelined()
-	}
-	return m.runInline()
+	return m.classify()
 }
 
-// tickStatus is tickInline's verdict on one control tick.
+// tickStatus is tick's verdict on one control tick.
 type tickStatus int
 
 const (
@@ -501,76 +529,31 @@ const (
 	tickDone
 )
 
-// runInline is the historical single-goroutine loop: perception executes
-// on the control loop, in the exact pre-pipeline operation order (the
-// golden-digest test holds this path to bit-identity; the fault branches
-// inside tickInline are never taken without an active plan).
-func (m *mission) runInline() Result {
-	for i := 0; i < m.steps; i++ {
-		switch m.tickInline(i) {
-		case tickCrashed:
-			return m.res
-		case tickDone:
-			return m.classify()
-		}
-	}
-	return m.classify()
-}
-
-// tickInline advances the mission by exactly one inline control tick — the
-// historical loop body of runInline, hoisted out so the fleet lockstep
-// runner can interleave the ticks of many missions. The operation order
-// inside one tick is untouched.
-func (m *mission) tickInline(i int) tickStatus {
+// tick advances the mission by one control tick — the one loop body that
+// Run and the fleet lockstep runner both drive. Perception is submitted
+// before it is applied, so a zero-latency handoff lands within the tick
+// that captured it: the historical inline order.
+func (m *mission) tick(i int) tickStatus {
 	m.now += m.t.Dt
 	m.curTick = i
 	blackout := m.beginFaultTick()
 	epoch := m.beginTick()
 	m.deliverDuePlan(i, blackout)
 
+	// A blacked-out link submits nothing: the offboard stack never sees
+	// the tick.
+	if !blackout {
+		m.submitPerception(i)
+	}
+	markerVisible := m.applyPerception(i, blackout, &epoch)
+
 	var cmd core.Command
-	markerVisible := false
 	if blackout {
-		// Offboard link down: the stack is frozen — no sensor epochs
-		// in, no new commands out. The flight controller holds the
-		// last commanded setpoint.
+		// Offboard link down: the stack is frozen — no sensor epochs in, no
+		// new commands out. The flight controller holds the last commanded
+		// setpoint.
 		cmd = m.lastCmd
 	} else {
-		depthDue := m.now >= m.nextDepth
-		frameDue := m.now >= m.nextDetect
-		var gotDepth, gotFrame bool
-		if depthDue {
-			m.nextDepth = m.now + m.t.DepthPeriod
-			if returns, ok := m.captureDepth(m.drone.Pos, m.drone.Yaw, m.now); ok {
-				m.depthPts = copyDepthPoints(m.depthPts, returns)
-				epoch.Depth = m.depthPts
-				epoch.DepthYaw = m.drone.Yaw
-				gotDepth = true
-			}
-		}
-
-		if frameDue {
-			m.nextDetect = m.now + m.t.DetectPeriod
-			if frame, ok := m.captureFrame(m.drone.Pos, m.drone.Yaw, m.drone.Speed(), m.now); ok {
-				epoch.Frame = frame
-				epoch.FrameYaw = m.drone.Yaw
-				gotFrame = true
-				markerVisible = markerInView(m.w, m.sc, m.drone.Pos, m.drone.Yaw)
-				if markerVisible {
-					m.res.MarkerVisibleFrames++
-				}
-			}
-		}
-
-		if m.rec != nil && (depthDue || frameDue) {
-			// Capture is stamped before fault dropouts apply, apply with
-			// what actually arrived — the same two events the pipelined
-			// loop records at submit and delivery, so an inline trace is
-			// byte-identical to pipelined k=0.
-			m.record(obs.Event{Tick: i, T: m.now, Kind: "capture", Detail: payloadDetail(depthDue, frameDue)})
-			m.record(obs.Event{Tick: i, T: m.now, Kind: "apply", Detail: payloadDetail(gotDepth, gotFrame)})
-		}
-
 		cmd = m.stepSystem(epoch, markerVisible)
 		m.lastCmd = cmd
 	}
@@ -600,13 +583,6 @@ func (m *mission) beginFaultTick() bool {
 	}
 	m.gps.SetFaultBias(st.GPSBias)
 	m.drone.SetThrust(st.ThrustFactor)
-	if len(st.Events) > 0 {
-		if fo, ok := m.cfg.Observer.(FaultObserver); ok {
-			for _, ev := range st.Events {
-				fo.RecordFault(string(ev.Kind), ev.Active, ev.T)
-			}
-		}
-	}
 	if m.rec != nil {
 		// Fault-window edges at the injector's own edge times, then the
 		// derived degraded/blackout levels as enter/exit transitions.
@@ -751,23 +727,8 @@ func (m *mission) finishFaults() {
 	}
 }
 
-// copyDepthPoints converts one depth capture into the epoch's body-frame
-// DepthPoint form, growing buf as needed — the camera owns the returns
-// slice, so both runners must copy before the next Capture. Shared by the
-// inline runner's scratch and the perception stage's buffer ring.
-func copyDepthPoints(buf []core.DepthPoint, returns []sim.DepthReturn) []core.DepthPoint {
-	if cap(buf) < len(returns) {
-		buf = make([]core.DepthPoint, len(returns))
-	}
-	buf = buf[:len(returns)]
-	for i, rr := range returns {
-		buf[i] = core.DepthPoint{P: rr.Point, Hit: rr.Hit}
-	}
-	return buf
-}
-
 // beginTick advances the always-on sensors and assembles the tick's base
-// epoch (GPS, IMU, barometer, lidar) — shared verbatim by both runners.
+// epoch (GPS, IMU, barometer, lidar).
 func (m *mission) beginTick() core.SensorEpoch {
 	m.gps.Step(m.t.Dt)
 	m.baro.Step(m.t.Dt)
@@ -799,7 +760,7 @@ func (m *mission) stepSystem(epoch core.SensorEpoch, markerVisible bool) core.Co
 	}
 	if obs := m.cfg.Observer; obs != nil {
 		obs.RecordControl()
-		if epoch.Frame != nil || epoch.HaveDetections {
+		if epoch.HaveDetections {
 			obs.RecordDetect()
 		}
 		if epoch.Depth != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/worldgen"
 )
@@ -31,34 +30,34 @@ func traceCell(t *testing.T, timing Timing) []obs.Event {
 // contract: the pipelined runner at delivery latency 0 is bit-identical
 // to the inline runner (the engines already share golden digests), and
 // the trace must agree event for event — captures at the same ticks,
-// applies with the same payloads, the same fault and degraded windows.
+// applies with the same payloads, the same fault and degraded windows —
+// nominally and under every fault preset (trimmed under -short).
 func TestTraceInlineVsPipelinedK0(t *testing.T) {
-	plan, err := fault.ParsePlan("gps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inline := SILTiming()
-	inline.Faults = plan
-	piped := inline
-	piped.Pipeline = PipelineOn
-	piped.PipelineLatencyTicks = 0
+	for _, p := range oraclePlans(t) {
+		inline := SILTiming()
+		inline.Faults = p.plan
+		piped := inline
+		piped.Pipeline = PipelineOn
+		piped.PipelineLatencyTicks = 0
 
-	evInline := traceCell(t, inline)
-	evPiped := traceCell(t, piped)
-	if len(evInline) == 0 {
-		t.Fatal("inline trace is empty")
-	}
-	if !reflect.DeepEqual(evInline, evPiped) {
+		evInline := traceCell(t, inline)
+		evPiped := traceCell(t, piped)
+		if len(evInline) == 0 {
+			t.Fatalf("%s: inline trace is empty", p.name)
+		}
+		if reflect.DeepEqual(evInline, evPiped) {
+			continue
+		}
 		n := len(evInline)
 		if len(evPiped) < n {
 			n = len(evPiped)
 		}
 		for i := 0; i < n; i++ {
 			if evInline[i] != evPiped[i] {
-				t.Fatalf("traces diverge at event %d: inline %+v, pipelined %+v", i, evInline[i], evPiped[i])
+				t.Fatalf("%s: traces diverge at event %d: inline %+v, pipelined %+v", p.name, i, evInline[i], evPiped[i])
 			}
 		}
-		t.Fatalf("trace lengths differ: inline %d, pipelined-k0 %d", len(evInline), len(evPiped))
+		t.Fatalf("%s: trace lengths differ: inline %d, pipelined-k0 %d", p.name, len(evInline), len(evPiped))
 	}
 }
 

@@ -120,36 +120,6 @@ func OverlapSummary(stageBusy, stalled, wall time.Duration) string {
 		stageBusy.Seconds(), stalled.Seconds(), wall.Seconds(), 100*hidden)
 }
 
-// FaultEvent is one fault activation or deactivation edge of a
-// dependability campaign, as recorded by a platform monitor
-// (hil.Monitor) next to its resource series.
-type FaultEvent struct {
-	T      float64
-	Kind   string
-	Active bool
-}
-
-// FormatFaultTimeline renders a mission's fault-event timeline as one
-// aligned line per edge, oldest first — the dependability counterpart of
-// the Fig. 7 resource series.
-func FormatFaultTimeline(events []FaultEvent) string {
-	if len(events) == 0 {
-		return "no fault events"
-	}
-	var b strings.Builder
-	for i, ev := range events {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		edge := "cleared"
-		if ev.Active {
-			edge = "INJECT"
-		}
-		fmt.Fprintf(&b, "t=%7.2fs  %-7s %s", ev.T, edge, ev.Kind)
-	}
-	return b.String()
-}
-
 // Series is a named time series for CSV export (Fig. 7 traces).
 type Series struct {
 	Name   string

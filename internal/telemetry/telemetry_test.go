@@ -137,23 +137,3 @@ func TestWriteSeriesCSV(t *testing.T) {
 		t.Errorf("empty series err: %v", err)
 	}
 }
-
-func TestFormatFaultTimeline(t *testing.T) {
-	if got := FormatFaultTimeline(nil); got != "no fault events" {
-		t.Errorf("empty timeline = %q", got)
-	}
-	out := FormatFaultTimeline([]FaultEvent{
-		{T: 12.5, Kind: "gps-drift", Active: true},
-		{T: 37.5, Kind: "gps-drift", Active: false},
-	})
-	lines := strings.Split(out, "\n")
-	if len(lines) != 2 {
-		t.Fatalf("timeline lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "INJECT") || !strings.Contains(lines[0], "gps-drift") {
-		t.Errorf("activation line %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "cleared") {
-		t.Errorf("deactivation line %q", lines[1])
-	}
-}
