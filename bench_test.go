@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/catalog"
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/detect"
@@ -175,9 +176,7 @@ func BenchmarkTableII_Detection(b *testing.B) {
 var tableIIIOnce sync.Once
 
 func hilRun(seed int64, mi, si int) (scenario.Result, *hil.Monitor, error) {
-	profile := hil.JetsonNanoMAXN()
-	costs := hil.NanoCosts()
-	plan := hil.DerivePlan(profile, costs)
+	c := catalog.HILMAXN
 	sc, err := worldgen.Generate(mi, si)
 	if err != nil {
 		return scenario.Result{}, nil, err
@@ -186,11 +185,10 @@ func hilRun(seed int64, mi, si int) (scenario.Result, *hil.Monitor, error) {
 	if err != nil {
 		return scenario.Result{}, nil, err
 	}
-	sys.SetReplanInterval(plan.ReplanInterval)
-	sys.SetGuardInterval(plan.GuardInterval)
-	mon := hil.NewMonitor(profile, costs)
 	cfg := scenario.DefaultRunConfig(seed)
-	cfg.Timing = plan.Timing
+	cfg.Timing = c.Plan().Timing
+	c.Configure()(campaign.Run{}, sc, sys, &cfg)
+	mon := hil.NewMonitor(c.Platform, c.Costs)
 	cfg.Observer = mon
 	return scenario.Run(sc, sys, cfg), mon, nil
 }
@@ -385,13 +383,7 @@ var fig7Once sync.Once
 func BenchmarkFig7_Resources(b *testing.B) {
 	fig7Once.Do(func() {
 		fmt.Println("\n=== Fig. 7 — Jetson Nano resource usage, HIL vs field profile ===")
-		type prof struct {
-			name  string
-			costs hil.ModuleCosts
-		}
-		for _, pr := range []prof{{"HIL", hil.NanoCosts()}, {"field", hil.FieldCosts()}} {
-			profile := hil.JetsonNanoMAXN()
-			plan := hil.DerivePlan(profile, pr.costs)
+		for _, c := range []*catalog.Campaign{catalog.HILMAXN, catalog.Field} {
 			sc, err := worldgen.Generate(0, 4)
 			if err != nil {
 				b.Fatal(err)
@@ -400,19 +392,18 @@ func BenchmarkFig7_Resources(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sys.SetReplanInterval(plan.ReplanInterval)
-			sys.SetGuardInterval(plan.GuardInterval)
-			mon := hil.NewMonitor(profile, pr.costs)
 			cfg := scenario.DefaultRunConfig(9)
-			cfg.Timing = plan.Timing
+			cfg.Timing = c.Plan().Timing
+			c.Configure()(campaign.Run{}, sc, sys, &cfg)
+			mon := hil.NewMonitor(c.Platform, c.Costs)
 			cfg.Observer = mon
 			scenario.Run(sc, sys, cfg)
 			peakCPU, peakMem := mon.Peak()
-			fmt.Printf("  %-6s mean CPU %3.0f%% (peak %3.0f%%) of 400%%, mean RAM %.2f GB (peak %.2f GB)\n",
-				pr.name, mon.MeanCPU(), peakCPU, mon.MeanMemMB()/1000, peakMem/1000)
+			fmt.Printf("  %-8s mean CPU %3.0f%% (peak %3.0f%%) of 400%%, mean RAM %.2f GB (peak %.2f GB)\n",
+				c.Name, mon.MeanCPU(), peakCPU, mon.MeanMemMB()/1000, peakMem/1000)
 		}
 	})
-	mon := hil.NewMonitor(hil.JetsonNanoMAXN(), hil.FieldCosts())
+	mon := hil.NewMonitor(catalog.Field.Platform, catalog.Field.Costs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mon.RecordDetect()
@@ -438,26 +429,16 @@ func BenchmarkRealWorld_Accuracy(b *testing.B) {
 			}
 		}
 		// Field: degraded GPS, gusts, erroneous depth, Nano timing.
-		profile := hil.JetsonNanoMAXN()
-		costs := hil.FieldCosts()
-		plan := hil.DerivePlan(profile, costs)
+		field, timing := catalog.Field.Configure(), catalog.Field.Plan().Timing
 		var fieldErr []float64
 		var drift float64
 		n := 0
 		for i := 0; i < 8; i++ {
 			sc, _ := worldgen.Generate([]int{0, 2, 4, 5}[i%4], i%10)
-			if sc.Weather.GPSDegradation < 0.5 {
-				sc.Weather.GPSDegradation = 0.5
-			}
-			if sc.Weather.GustStd < 1.0 {
-				sc.Weather.GustStd = 1.0
-			}
 			sys, _ := scenario.BuildSystem(core.V3, sc, int64(i*7))
-			sys.SetReplanInterval(plan.ReplanInterval)
-			sys.SetGuardInterval(plan.GuardInterval)
 			cfg := scenario.DefaultRunConfig(int64(i * 7))
-			cfg.Timing = plan.Timing
-			cfg.ErroneousDepthRate = 0.04
+			cfg.Timing = timing
+			field(campaign.Run{}, sc, sys, &cfg)
 			r := scenario.Run(sc, sys, cfg)
 			if r.Landed && !math.IsNaN(r.LandingError) {
 				fieldErr = append(fieldErr, r.LandingError)
@@ -814,9 +795,7 @@ var mitigationOnce sync.Once
 func BenchmarkMitigations_RTKOffboard(b *testing.B) {
 	mitigationOnce.Do(func() {
 		fmt.Println("\n=== §V-C mitigations — field landing error with RTK / off-board descent ===")
-		profile := hil.JetsonNanoMAXN()
-		costs := hil.FieldCosts()
-		plan := hil.DerivePlan(profile, costs)
+		field, timing := catalog.Field.Configure(), catalog.Field.Plan().Timing
 		type variant struct {
 			name     string
 			rtk      bool
@@ -835,22 +814,14 @@ func BenchmarkMitigations_RTKOffboard(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if sc.Weather.GPSDegradation < 0.5 {
-					sc.Weather.GPSDegradation = 0.5
-				}
-				if sc.Weather.GustStd < 1.0 {
-					sc.Weather.GustStd = 1.0
-				}
 				sys, err := scenario.BuildSystem(core.V3, sc, int64(i*7))
 				if err != nil {
 					b.Fatal(err)
 				}
-				sys.SetReplanInterval(plan.ReplanInterval)
-				sys.SetGuardInterval(plan.GuardInterval)
-				sys.SetOffboardRelativeDescent(v.offboard)
 				cfg := scenario.DefaultRunConfig(int64(i * 7))
-				cfg.Timing = plan.Timing
-				cfg.ErroneousDepthRate = 0.04
+				cfg.Timing = timing
+				field(campaign.Run{}, sc, sys, &cfg)
+				sys.SetOffboardRelativeDescent(v.offboard)
 				cfg.RTK = v.rtk
 				r := scenario.Run(sc, sys, cfg)
 				if r.Landed && !math.IsNaN(r.LandingError) {

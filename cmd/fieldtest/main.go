@@ -3,10 +3,10 @@
 // despite healthy DOP, erroneous point clouds (Fig. 5c), live camera-feed
 // compute load — over simplified scenarios fitting a constrained airspace.
 //
-// The flight list is not a product grid (each flight pairs one map with
-// one scenario), so the campaign runs from an explicit cell list; the
-// configure hook applies the field-specific weather floors and fault
-// rates per flight. Ordered delivery keeps the flight log sequential.
+// The campaign is the catalog's field entry: an explicit flight list (each
+// flight pairs one map with one scenario) and a configure hook that
+// applies the field's weather floors and spurious-depth rate per flight.
+// Ordered delivery keeps the flight log sequential.
 //
 // Reported outputs:
 //   - mean landing error (paper: ≈60 cm vs ≈25 cm in SIL/HIL)
@@ -23,26 +23,20 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 
 	"repro/internal/campaign"
+	"repro/internal/catalog"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hil"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/worldgen"
 )
-
-// fieldMaps are the simpler rural/suburban maps the campaign cycled
-// through (limited airspace, §V-C).
-var fieldMaps = []int{0, 2, 4, 5}
 
 func main() {
 	runs := flag.Int("runs", 20, "number of field flights")
@@ -59,7 +53,22 @@ func main() {
 	}
 
 	if cf.Merge {
-		mergeMain(flag.Args())
+		agg := cliutil.Merge("fieldtest", "flights", flag.Args())[core.V3]
+		if agg == nil {
+			cliutil.Fatal("fieldtest", 1, fmt.Errorf("merged shards carry no MLS-V3 aggregate"))
+		}
+		fmt.Printf("success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights\n",
+			agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs)
+		fmt.Printf("mean landing error %.2f m, FNR %.2f%%\n", agg.MeanLandingError, 100*agg.FalseNegativeRate)
+		if row := agg.FleetString(); row != "" {
+			fmt.Println("\nAirspace deconfliction (fleet campaign)")
+			fmt.Println(row)
+		}
+		if row := agg.DependabilityString(); row != "" {
+			fmt.Println("\nDependability (fault campaign)")
+			fmt.Println(row)
+		}
+		fmt.Println("(per-flight drift and resource series live on the machines that executed each shard)")
 		return
 	}
 	if cf.Join != "" {
@@ -71,76 +80,38 @@ func main() {
 		return
 	}
 
-	if *runs < 1 {
-		fmt.Fprintln(os.Stderr, "fieldtest: -runs must be at least 1")
-		os.Exit(2)
-	}
-
-	profile := hil.JetsonNanoMAXN()
-	costs := hil.FieldCosts()
-	plan := hil.DerivePlan(profile, costs)
-	if cf.Pipeline {
-		plan = hil.DerivePipelinedPlan(profile, costs)
-	}
-
-	// The fault plan rides the field timing profile into the campaign
-	// (beyond the field profile's built-in degradations).
-	faultPlan, err := cf.FaultPlan()
+	knobs, err := cf.Knobs()
 	if err != nil {
 		cliutil.Fatal("fieldtest", 2, err)
 	}
-	plan.Timing.Faults = faultPlan
-	// The fleet spec rides the field timing the same way (multi-drone
-	// field trials in one constrained airspace).
-	fleet, err := cf.FleetSpec()
+	// The fault plan rides the field timing into the campaign (beyond the
+	// field's built-in degradations), and so does the fleet spec
+	// (multi-drone field trials in one constrained airspace).
+	c := catalog.Field
+	spec, err := c.Spec(catalog.Grid{Runs: *runs}, knobs)
 	if err != nil {
 		cliutil.Fatal("fieldtest", 2, err)
 	}
-	plan.Timing.Fleet = fleet
-	plan.Timing = plan.Timing.Canonical()
-	if cf.Fast {
-		// WithFast preserves the latency the derived plan already carries.
-		// Fast digests are only comparable to other fast digests — see
-		// silbench -verify-fast for the tolerance contract.
-		plan.Timing = plan.Timing.WithFast()
-	}
+	tm := spec.Timing
 
-	fmt.Printf("Field profile on %s: CPU demand %.0f%% of capacity\n", profile.Name, 100*plan.CPUDemand)
+	fmt.Printf("Field profile on %s: CPU demand %.0f%% of capacity\n", c.Platform.Name, 100*c.Plan().CPUDemand)
 	if cf.Pipeline {
-		fmt.Printf("pipelined perception: on — emergent delivery latency %d ticks\n", plan.Timing.PipelineLatencyTicks)
+		fmt.Printf("pipelined perception: on — emergent delivery latency %d ticks\n", tm.PipelineLatencyTicks)
 	}
 	if cf.Fast {
 		fmt.Printf("fast engine mode: on (digests comparable to fast runs only)\n")
 	}
-	if faultPlan.Active() {
-		fmt.Printf("fault plan: %s\n", faultPlan)
+	if tm.Faults.Active() {
+		fmt.Printf("fault plan: %s\n", tm.Faults)
 	}
-	if fleet.Active() {
-		fmt.Printf("fleet: %d drones per flight\n", fleet.Size)
+	if tm.Fleet.Active() {
+		fmt.Printf("fleet: %d drones per flight\n", tm.Fleet.Size)
 	}
 	fmt.Println()
 
-	// One cell per flight: the campaign flew map fieldMaps[i%4] with
-	// scenario i%10 on flight i. Rep carries the flight index so the
-	// legacy per-flight seed derivation survives verbatim.
-	cells := make([]campaign.Cell, *runs)
-	for i := range cells {
-		cells[i] = campaign.Cell{
-			Gen:         core.V3,
-			MapIdx:      fieldMaps[i%len(fieldMaps)],
-			ScenarioIdx: i % worldgen.NumScenariosPerMap,
-			Rep:         i,
-		}
-	}
-	spec := campaign.Spec{
-		Cells:  cells,
-		Timing: plan.Timing,
-		Seed:   func(c campaign.Cell) int64 { return int64(c.Rep)*104_729 + 77 },
-	}
-
 	// Fleet mode: workers resolve the "field" profile to the same weather
-	// floors and fault rates the configure hook below applies locally.
-	if aggs, handled := cf.Distributed("fieldtest", spec, "field"); handled {
+	// floors and fault rates the configure hook applies locally.
+	if aggs, handled := cf.Distributed("fieldtest", spec, c.Profile()); handled {
 		if agg := aggs[core.V3]; agg != nil {
 			a := *agg
 			a.System = "MLS-V3-field"
@@ -153,36 +124,9 @@ func main() {
 		return
 	}
 
-	// Sharded execution replaces the flight list with one contiguous slice
-	// (the per-flight seeds ship inside the shard, by value).
-	activeShard, spec, err := cf.ApplyShard("fieldtest", spec)
-	if err != nil {
-		cliutil.Fatal("fieldtest", 2, err)
-	}
-
-	mons := make([]*hil.Monitor, spec.Total())
-	spec.Configure = func(ru campaign.Run, sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
-		// Field GPS behaves worse than the simulation assumed: raise the
-		// degradation floor (drift during poor weather despite DOP 2-8).
-		if sc.Weather.GPSDegradation < 0.5 {
-			sc.Weather.GPSDegradation = 0.5
-		}
-		if sc.Weather.GustStd < 1.0 {
-			sc.Weather.GustStd = 1.0 // ground-effect turbulence on final
-		}
-		sys.SetReplanInterval(plan.ReplanInterval)
-		sys.SetGuardInterval(plan.GuardInterval)
-		mon := hil.NewMonitor(profile, costs)
-		mons[ru.Index] = mon
-		cfg.Observer, cfg.Recorder = mon, mon
-		cfg.ErroneousDepthRate = 0.04 // Fig. 5c spurious clusters
-	}
-
-	// Ctrl-C cancels between flights; with -checkpoint nothing is lost.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// Ordered delivery keeps the flight log in flight order.
+	mons := c.Monitor(&spec)
+	// Ordered delivery keeps the flight log in flight order; Ctrl-C
+	// cancels between flights, and with -checkpoint nothing is lost.
 	opts := cf.Options("fieldtest")
 	var drifts []float64
 	opts.OnResult = func(ru campaign.Run, r scenario.Result) {
@@ -190,31 +134,9 @@ func main() {
 		fmt.Printf("  flight %2d map%d sc%d: %-12s landErr=%.2fm drift=%.2fm\n",
 			ru.Rep, ru.MapIdx, ru.ScenarioIdx, r.Outcome, r.LandingError, r.MaxGPSDrift)
 	}
-	// The flight recorder chains behind the field configure hook and the
-	// ordered flight log: one header + events block per flight.
-	closeTrace, err := cf.WireTrace(&spec, &opts)
-	if err != nil {
-		cliutil.Fatal("fieldtest", 1, err)
-	}
-	j, err := cf.OpenCheckpoint(spec)
-	if err != nil {
-		cliutil.Fatal("fieldtest", 1, err)
-	}
-	if j != nil {
-		defer j.Close()
-		opts.Checkpoint = j
-	}
-
-	report, err := campaign.Execute(ctx, spec, opts)
-	if err != nil {
-		closeTrace()
-		fmt.Fprintln(os.Stderr, "fieldtest:", err)
-		cf.CheckpointHint("fieldtest", ctx.Err() != nil)
-		os.Exit(1)
-	}
-	if err := closeTrace(); err != nil {
-		cliutil.Fatal("fieldtest", 1, err)
-	}
+	// The flight recorder chains behind the field hook and the monitor,
+	// one header + events block per flight.
+	report := cf.Execute("fieldtest", spec, opts)
 
 	results := report.Results
 	var series []hil.Sample
@@ -288,12 +210,6 @@ func main() {
 		}
 	}
 
-	if activeShard != nil {
-		if err := cf.WriteShardOut("fieldtest", activeShard, report); err != nil {
-			cliutil.Fatal("fieldtest", 1, err)
-		}
-	}
-
 	if *resources {
 		fmt.Println("\nFig. 7 — per-second resource series of flight 0")
 		fmt.Printf("%6s %8s %8s %8s %8s %8s %10s\n", "t", "core0", "core1", "core2", "core3", "cpu%", "memMB")
@@ -330,38 +246,4 @@ func dumpMetrics(cf *cliutil.CampaignFlags) {
 	if err := cf.DumpMetrics("fieldtest"); err != nil {
 		cliutil.Fatal("fieldtest", 1, err)
 	}
-}
-
-// mergeMain recombines shard result files (in any order) into the field
-// campaign's summary.
-func mergeMain(files []string) {
-	shards, err := campaign.ReadShardResults(files)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fieldtest:", err)
-		os.Exit(2)
-	}
-	merged, err := campaign.MergeShards(shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fieldtest:", err)
-		os.Exit(1)
-	}
-	agg := merged[core.V3]
-	if agg == nil {
-		fmt.Fprintln(os.Stderr, "fieldtest: merged shards carry no MLS-V3 aggregate")
-		os.Exit(1)
-	}
-	fmt.Printf("merged %d shards (%d flights)\n", len(shards), shards[0].Total)
-	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(merged))
-	fmt.Printf("success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights\n",
-		agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs)
-	fmt.Printf("mean landing error %.2f m, FNR %.2f%%\n", agg.MeanLandingError, 100*agg.FalseNegativeRate)
-	if row := agg.FleetString(); row != "" {
-		fmt.Println("\nAirspace deconfliction (fleet campaign)")
-		fmt.Println(row)
-	}
-	if row := agg.DependabilityString(); row != "" {
-		fmt.Println("\nDependability (fault campaign)")
-		fmt.Println(row)
-	}
-	fmt.Println("(per-flight drift and resource series live on the machines that executed each shard)")
 }

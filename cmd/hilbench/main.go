@@ -8,9 +8,10 @@
 // It also reports the resource picture (CPU saturation, ~2.2 GB of the
 // 2.9 GB available) that §V-B attributes the degradation to.
 //
-// The sweep runs as a campaign across -workers cores; each run gets its
-// own hil.Monitor attached through the campaign's per-run configure hook,
-// so the resource series are collected exactly as in the sequential loop.
+// The sweep is the catalog's hil-maxn campaign (-mode 5w: hil-5w), run
+// across -workers cores; each run gets its own hil.Monitor chained behind
+// the campaign's per-run configure hook, so the resource series are
+// collected exactly as in the sequential loop.
 //
 // Campaigns at scale: -checkpoint journals finished runs for crash-safe
 // resume; -shard i/n + -out run and persist one slice of the grid for
@@ -21,16 +22,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 
 	"repro/internal/campaign"
+	"repro/internal/catalog"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/hil"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -53,7 +51,23 @@ func main() {
 	}
 
 	if cf.Merge {
-		mergeMain(flag.Args())
+		agg := cliutil.Merge("hilbench", "runs", flag.Args())[core.V3]
+		if agg == nil {
+			cliutil.Fatal("hilbench", 1, fmt.Errorf("merged shards carry no MLS-V3 aggregate"))
+		}
+		fmt.Println()
+		printTableIII(*agg)
+		if row := agg.FleetString(); row != "" {
+			fmt.Println("\nAirspace deconfliction (fleet campaign)")
+			fmt.Println(row)
+		}
+		if row := agg.DependabilityString(); row != "" {
+			fmt.Println("\nDependability (fault campaign)")
+			fmt.Println(row)
+		}
+		fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
+			100*agg.FalseNegativeRate, agg.MeanLandingError)
+		fmt.Println("(resource series live on the machines that executed each shard)")
 		return
 	}
 	if cf.Join != "" {
@@ -64,78 +78,48 @@ func main() {
 		return
 	}
 
-	if *maps < 1 || *maps > 10 || *scenarios < 1 || *scenarios > worldgen.NumScenariosPerMap {
-		fmt.Fprintln(os.Stderr, "hilbench: -maps must be 1-10 and -scenarios 1-10")
-		os.Exit(2)
+	c, err := powerMode(*mode)
+	if err != nil {
+		cliutil.Fatal("hilbench", 2, err)
 	}
+	knobs, err := cf.Knobs()
+	if err != nil {
+		cliutil.Fatal("hilbench", 2, err)
+	}
+	// The fault plan rides the HIL timing into the campaign (the
+	// comms-blackout kind models exactly this tier's link-loss mode), and
+	// so does the fleet spec (a compute-starved tier flying a formation is
+	// the worst-case airspace picture).
+	spec, err := c.Spec(catalog.Grid{Maps: *maps, Scenarios: *scenarios, Repeats: *repeats}, knobs)
+	if err != nil {
+		cliutil.Fatal("hilbench", 2, err)
+	}
+	plan, tm := c.Plan(), spec.Timing
 
-	profile := hil.JetsonNanoMAXN()
-	coordProfile := "hil-maxn"
-	if *mode == "5w" {
-		profile = hil.JetsonNano5W()
-		coordProfile = "hil-5w"
-	}
-	costs := hil.NanoCosts()
-	plan := hil.DerivePlan(profile, costs)
-	if cf.Pipeline {
-		plan = hil.DerivePipelinedPlan(profile, costs)
-	}
-
-	fmt.Printf("HIL benchmark on %s: CPU demand %.0f%% of capacity\n", profile.Name, 100*plan.CPUDemand)
+	fmt.Printf("HIL benchmark on %s: CPU demand %.0f%% of capacity\n", c.Platform.Name, 100*plan.CPUDemand)
 	fmt.Printf("  detect period %.2fs (SIL %.2fs), replan interval %.2fs (SIL 0.60s), latency %d ticks\n",
-		plan.Timing.DetectPeriod, scenario.SILTiming().DetectPeriod,
-		plan.ReplanInterval, plan.Timing.CommandLatencyTicks)
+		tm.DetectPeriod, scenario.SILTiming().DetectPeriod,
+		plan.ReplanInterval, tm.CommandLatencyTicks)
 	if cf.Pipeline {
 		fmt.Printf("  pipelined perception: on — emergent delivery latency %d ticks (from %s stage cost)\n",
-			plan.Timing.PipelineLatencyTicks, profile.Name)
+			tm.PipelineLatencyTicks, c.Platform.Name)
 	}
-	// The fault plan rides the HIL timing profile into the campaign — the
-	// comms-blackout kind models exactly this tier's link-loss mode.
-	faultPlan, err := cf.FaultPlan()
-	if err != nil {
-		cliutil.Fatal("hilbench", 2, err)
+	if tm.Faults.Active() {
+		fmt.Printf("  fault plan: %s\n", tm.Faults)
 	}
-	plan.Timing.Faults = faultPlan
-	if faultPlan.Active() {
-		fmt.Printf("  fault plan: %s\n", faultPlan)
-	}
-	// The fleet spec rides the HIL timing the same way: a compute-starved
-	// tier flying a formation is the worst-case airspace picture.
-	fleet, err := cf.FleetSpec()
-	if err != nil {
-		cliutil.Fatal("hilbench", 2, err)
-	}
-	plan.Timing.Fleet = fleet
-	plan.Timing = plan.Timing.Canonical()
-	if fleet.Active() {
-		fmt.Printf("  fleet: %d drones per run\n", fleet.Size)
+	if tm.Fleet.Active() {
+		fmt.Printf("  fleet: %d drones per run\n", tm.Fleet.Size)
 	}
 	if cf.Fast {
-		// WithFast preserves the latency the derived plan already carries
-		// (the emergent -pipeline delivery ticks). Fast digests are only
-		// comparable to other fast digests — see silbench -verify-fast for
-		// the tolerance contract.
-		plan.Timing = plan.Timing.WithFast()
+		// Fast digests are only comparable to other fast digests — see
+		// silbench -verify-fast for the tolerance contract.
 		fmt.Printf("  fast engine mode: on (digests comparable to fast runs only)\n")
 	}
 	fmt.Println()
 
-	spec := campaign.Spec{
-		Maps:        campaign.Range(*maps),
-		Scenarios:   campaign.Range(*scenarios),
-		Repeats:     *repeats,
-		Generations: []core.Generation{core.V3},
-		Timing:      plan.Timing,
-		// The recorded HIL tables derive seeds with a flat +300 offset
-		// rather than the SIL grid's generation term.
-		Seed: func(c campaign.Cell) int64 {
-			return int64(c.MapIdx)*1_000_003 + int64(c.ScenarioIdx)*9_176 + int64(c.Rep)*77_711 + 300
-		},
-	}
-
-	// Fleet mode: workers resolve the named profile to the same
+	// Fleet mode: workers resolve the campaign's profile name to the same
 	// replan/guard cadences this process would apply locally.
-	if aggs, handled := cf.Distributed("hilbench", spec, coordProfile); handled {
+	if aggs, handled := cf.Distributed("hilbench", spec, c.Profile()); handled {
 		if agg := aggs[core.V3]; agg != nil {
 			printTableIII(*agg)
 			fmt.Println("(resource series live on the worker machines)")
@@ -144,24 +128,10 @@ func main() {
 		return
 	}
 
-	activeShard, spec, err := cf.ApplyShard("hilbench", spec)
-	if err != nil {
-		cliutil.Fatal("hilbench", 2, err)
-	}
-
-	// One monitor per run, attached by the configure hook; workers write
-	// distinct indices, so the slice needs no lock. Replayed checkpoint
-	// runs never call the hook — their slots stay nil and the resource
-	// summary covers the runs executed in this process.
-	mons := make([]*hil.Monitor, spec.Total())
-	spec.Configure = func(ru campaign.Run, sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
-		sys.SetReplanInterval(plan.ReplanInterval)
-		sys.SetGuardInterval(plan.GuardInterval)
-		mon := hil.NewMonitor(profile, costs)
-		mons[ru.Index] = mon
-		cfg.Observer, cfg.Recorder = mon, mon
-	}
-
+	// One monitor per run behind the campaign's hook. The flight recorder
+	// chains behind both (every event reaches each), one header + events
+	// block per run in canonical order.
+	mons := c.Monitor(&spec)
 	opts := cf.Options("hilbench")
 	if *verbose {
 		opts.OnResult = func(ru campaign.Run, r scenario.Result) {
@@ -170,36 +140,7 @@ func main() {
 		}
 	}
 
-	// The flight recorder chains behind the monitor hook (both receive
-	// every event) and the ordered result stream: one header + events
-	// block per run, canonical order.
-	closeTrace, err := cf.WireTrace(&spec, &opts)
-	if err != nil {
-		cliutil.Fatal("hilbench", 1, err)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	j, err := cf.OpenCheckpoint(spec)
-	if err != nil {
-		cliutil.Fatal("hilbench", 1, err)
-	}
-	if j != nil {
-		defer j.Close()
-		opts.Checkpoint = j
-	}
-
-	report, err := campaign.Execute(ctx, spec, opts)
-	if err != nil {
-		closeTrace()
-		fmt.Fprintln(os.Stderr, "hilbench:", err)
-		cf.CheckpointHint("hilbench", ctx.Err() != nil)
-		os.Exit(1)
-	}
-	if err := closeTrace(); err != nil {
-		cliutil.Fatal("hilbench", 1, err)
-	}
+	report := cf.Execute("hilbench", spec, opts)
 
 	agg := *report.Aggregates[core.V3]
 	runs := agg.Runs
@@ -271,20 +212,25 @@ func main() {
 		if monN < runs {
 			scope = fmt.Sprintf(" over the %d runs executed this session", monN)
 		}
-		fmt.Printf("\nResource summary (%s)%s:\n", profile.Name, scope)
+		fmt.Printf("\nResource summary (%s)%s:\n", c.Platform.Name, scope)
 		fmt.Printf("  mean CPU %.0f%% of %d00%% aggregate; mean RAM %.2f GB, peak %.2f GB of %.1f GB available\n",
-			meanCPU/float64(monN), profile.Cores,
-			meanMem/float64(monN)/1000, peakMem/1000, float64(profile.MemTotalMB)/1000)
+			meanCPU/float64(monN), c.Platform.Cores,
+			meanMem/float64(monN)/1000, peakMem/1000, float64(c.Platform.MemTotalMB)/1000)
 	}
 	fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
 		100*agg.FalseNegativeRate, agg.MeanLandingError)
-
-	if activeShard != nil {
-		if err := cf.WriteShardOut("hilbench", activeShard, report); err != nil {
-			cliutil.Fatal("hilbench", 1, err)
-		}
-	}
 	dumpMetrics(cf)
+}
+
+// powerMode maps -mode to its catalog campaign.
+func powerMode(mode string) (*catalog.Campaign, error) {
+	switch mode {
+	case "maxn":
+		return catalog.HILMAXN, nil
+	case "5w":
+		return catalog.HIL5W, nil
+	}
+	return nil, fmt.Errorf("-mode %q: want maxn or 5w", mode)
 }
 
 // dumpMetrics honors -metrics on the way out.
@@ -292,39 +238,6 @@ func dumpMetrics(cf *cliutil.CampaignFlags) {
 	if err := cf.DumpMetrics("hilbench"); err != nil {
 		cliutil.Fatal("hilbench", 1, err)
 	}
-}
-
-// mergeMain recombines shard result files (in any order) into Table III.
-func mergeMain(files []string) {
-	shards, err := campaign.ReadShardResults(files)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hilbench:", err)
-		os.Exit(2)
-	}
-	merged, err := campaign.MergeShards(shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hilbench:", err)
-		os.Exit(1)
-	}
-	agg := merged[core.V3]
-	if agg == nil {
-		fmt.Fprintln(os.Stderr, "hilbench: merged shards carry no MLS-V3 aggregate")
-		os.Exit(1)
-	}
-	fmt.Printf("merged %d shards (%d runs)\n", len(shards), shards[0].Total)
-	fmt.Printf("aggregate digest: %s\n\n", campaign.AggregatesDigest(merged))
-	printTableIII(*agg)
-	if row := agg.FleetString(); row != "" {
-		fmt.Println("\nAirspace deconfliction (fleet campaign)")
-		fmt.Println(row)
-	}
-	if row := agg.DependabilityString(); row != "" {
-		fmt.Println("\nDependability (fault campaign)")
-		fmt.Println(row)
-	}
-	fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
-		100*agg.FalseNegativeRate, agg.MeanLandingError)
-	fmt.Println("(resource series live on the machines that executed each shard)")
 }
 
 func printTableIII(agg scenario.Aggregate) {

@@ -47,6 +47,7 @@ import (
 	"sort"
 
 	"repro/internal/campaign"
+	"repro/internal/catalog"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -80,7 +81,15 @@ func main() {
 	}
 
 	if cf.Merge {
-		mergeMain(flag.Args())
+		merged := cliutil.Merge("silbench", "runs", flag.Args())
+		gens := make([]core.Generation, 0, len(merged))
+		for gen := range merged {
+			gens = append(gens, gen)
+		}
+		sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+		printTables(gens, merged)
+		printDependability(gens, merged)
+		printFleet(gens, merged)
 		return
 	}
 	if cf.Join != "" {
@@ -94,64 +103,22 @@ func main() {
 		return
 	}
 
-	if *maps < 1 || *maps > 10 || *scenarios < 1 || *scenarios > worldgen.NumScenariosPerMap {
-		fmt.Fprintln(os.Stderr, "silbench: -maps must be 1-10 and -scenarios 1-10")
-		os.Exit(2)
-	}
-
-	var selected []core.Generation
-	for _, c := range *gens {
-		switch c {
-		case '1':
-			selected = append(selected, core.V1)
-		case '2':
-			selected = append(selected, core.V2)
-		case '3':
-			selected = append(selected, core.V3)
-		}
-	}
-
-	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "silbench: -systems %q selects no generation (use digits 1-3, e.g. \"1,3\")\n", *gens)
-		os.Exit(2)
-	}
-
-	spec := campaign.Spec{
-		Maps:        campaign.Range(*maps),
-		Scenarios:   campaign.Range(*scenarios),
-		Repeats:     *repeats,
-		Generations: selected,
-		Timing:      scenario.SILTiming(),
-	}
-	if cf.Pipeline {
-		// The knob lives on Timing, so shards and checkpoint journals below
-		// bind to the pipelined profile automatically.
-		spec.Timing.Pipeline = scenario.PipelineOn
-		spec.Timing.PipelineLatencyTicks = *pipelineLag
-	}
-	if cf.Fast {
-		// WithFast preserves a caller-set pipeline latency, so -fast
-		// composes with -pipeline/-pipeline-lag. Fast digests are only
-		// comparable to other fast digests: the mode trades bit-identity
-		// with the exact engine for throughput (see -verify-fast).
-		spec.Timing = spec.Timing.WithFast()
-	}
-	// The fault plan lives on Timing too: checkpoints and shards bind to
-	// it, and an empty plan is bit-identical to a nominal sweep.
-	plan, err := cf.FaultPlan()
+	knobs, err := cf.Knobs()
 	if err != nil {
 		cliutil.Fatal("silbench", 2, err)
 	}
-	spec.Timing.Faults = plan
-	// The fleet spec rides Timing the same way; Canonical folds an
-	// explicit size-1 fleet onto the solo engine, so "-fleet 1" digests
-	// exactly like no flag at all.
-	fleet, err := cf.FleetSpec()
+	knobs.PipelineLag = *pipelineLag
+	// Pipeline, fast, fault plan and fleet all ride the spec's Timing, so
+	// checkpoints and shards bind to them; "-fleet 1" and an empty plan
+	// digest exactly like no flag at all. Fast digests are only comparable
+	// to other fast digests (see -verify-fast).
+	spec, err := catalog.SIL.Spec(catalog.Grid{
+		Maps: *maps, Scenarios: *scenarios, Repeats: *repeats, Systems: *gens,
+	}, knobs)
 	if err != nil {
 		cliutil.Fatal("silbench", 2, err)
 	}
-	spec.Timing.Fleet = fleet
-	spec.Timing = spec.Timing.Canonical()
+	selected, plan, fleet := spec.Generations, spec.Timing.Faults, spec.Timing.Fleet
 
 	if *fleetSweep {
 		if cf.Shard != "" || cf.Checkpoint != "" || plan.Active() || fleet.Active() {
@@ -211,12 +178,8 @@ func main() {
 		fmt.Printf("fleet: %d drones per run (spawn spacing %g m)\n", fleet.Size, fleetSpacing(fleet))
 	}
 
-	// Sharded execution replaces the full grid with one contiguous slice.
-	activeShard, spec, err := cf.ApplyShard("silbench", spec)
-	if err != nil {
-		cliutil.Fatal("silbench", 2, err)
-	}
-	if activeShard == nil {
+	// A shard prints its range banner instead of the blank line.
+	if cf.Shard == "" {
 		fmt.Println()
 	}
 
@@ -228,37 +191,7 @@ func main() {
 				ru.Gen, ru.MapIdx, ru.ScenarioIdx, ru.Rep, r.Outcome, r.Duration)
 		}
 	}
-
-	// The flight recorder rides the spec's Configure hook and the ordered
-	// result stream: one header + events block per run, canonical order.
-	closeTrace, err := cf.WireTrace(&spec, &opts)
-	if err != nil {
-		cliutil.Fatal("silbench", 1, err)
-	}
-
-	// Ctrl-C cancels between runs; with -checkpoint nothing is lost.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	j, err := cf.OpenCheckpoint(spec)
-	if err != nil {
-		cliutil.Fatal("silbench", 1, err)
-	}
-	if j != nil {
-		defer j.Close()
-		opts.Checkpoint = j
-	}
-
-	report, err := campaign.Execute(ctx, spec, opts)
-	if err != nil {
-		closeTrace()
-		fmt.Fprintln(os.Stderr, "silbench:", err)
-		cf.CheckpointHint("silbench", ctx.Err() != nil)
-		os.Exit(1)
-	}
-	if err := closeTrace(); err != nil {
-		cliutil.Fatal("silbench", 1, err)
-	}
+	report := cf.Execute("silbench", spec, opts)
 	if cf.Trace != "" {
 		fmt.Printf("flight-recorder trace written to %s (validate with: go run ./tools/tracecheck %s)\n", cf.Trace, cf.Trace)
 	}
@@ -275,11 +208,6 @@ func main() {
 	}
 	fmt.Printf("aggregate digest: %s\n", report.Digest())
 
-	if activeShard != nil {
-		if err := cf.WriteShardOut("silbench", activeShard, report); err != nil {
-			cliutil.Fatal("silbench", 1, err)
-		}
-	}
 	// Rows print in -systems order (a shard may cover only some of them).
 	printTables(selected, report.Aggregates)
 	printDependability(selected, report.Aggregates)
@@ -480,31 +408,6 @@ func printDependability(gens []core.Generation, aggs map[core.Generation]*scenar
 			fmt.Printf("%s\n", row)
 		}
 	}
-}
-
-// mergeMain recombines shard result files (in any order) into the full
-// campaign's tables.
-func mergeMain(files []string) {
-	shards, err := campaign.ReadShardResults(files)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silbench:", err)
-		os.Exit(2)
-	}
-	merged, err := campaign.MergeShards(shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("merged %d shards (%d runs)\n", len(shards), shards[0].Total)
-	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(merged))
-	gens := make([]core.Generation, 0, len(merged))
-	for gen := range merged {
-		gens = append(gens, gen)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	printTables(gens, merged)
-	printDependability(gens, merged)
-	printFleet(gens, merged)
 }
 
 // printTables renders Table I / Table II / auxiliary rows in the given

@@ -64,8 +64,11 @@ type Journal struct {
 // Signature returns a hex digest binding a journal (or a shard result) to
 // one exact campaign: the resolved run list — cells, canonical order, and
 // per-run seeds, so a custom Spec.Seed is captured by value — plus the
-// timing profile. Function fields like Configure cannot be hashed and are
-// deliberately outside the signature: they tune observation, not identity.
+// timing profile. Configure is a function and cannot be hashed, so it is
+// outside the signature. Hooks that only observe need nothing more, but
+// the HIL and field campaigns' hooks change results: their identity
+// travels beside the signature as the campaign's name in internal/catalog,
+// which a coordinator lease carries as its profile.
 func (s Spec) Signature() (string, error) {
 	runs, err := s.Runs()
 	if err != nil {

@@ -1,23 +1,35 @@
 // Package cliutil is the shared command-line layer of the bench tools.
 // silbench, hilbench, fieldtest and campaignd all run the same campaign
-// machinery, so the campaign flag soup (-workers, -progress, -checkpoint,
-// -shard/-out/-merge, -pipeline, -faults, -fast) and the distributed
-// campaign entry points (-serve, -join) are defined once here; each cmd
-// keeps only the flags that are genuinely its own (grid dimensions,
-// power modes, report selection). The adversarial fault-search flags
-// (-fault-search and friends, see RegisterSearch) are registered
-// separately because only tools exposing that surface want them.
+// machinery, so it is defined once here:
+//   - the campaign flags (-workers, -progress, -checkpoint,
+//     -shard/-out/-merge, -pipeline, -faults, -fast, -fleet), whose timing
+//     knobs reach internal/catalog, where every named campaign's Spec is
+//     built, through Knobs;
+//   - the local execute path (Execute: shard, trace, checkpoint, run,
+//     resume hint, shard file) and the -merge prologue (Merge);
+//   - the distributed entry points (-serve, -join) and the observability
+//     flags (-trace, -metrics, -debug).
+//
+// Each cmd keeps only the flags that are genuinely its own (grid
+// dimensions, power modes, report selection) and its report printing.
+// The adversarial fault-search flags (-fault-search and friends, see
+// RegisterSearch) are registered separately because only tools exposing
+// that surface want them.
 package cliutil
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/scenario"
 )
@@ -118,6 +130,20 @@ func (f *CampaignFlags) FleetSpec() (*scenario.FleetSpec, error) {
 	return scenario.ParseFleet(f.Fleet)
 }
 
+// Knobs parses the shared timing flags for a catalog build. A command
+// with its own -pipeline-lag flag sets Knobs.PipelineLag itself.
+func (f *CampaignFlags) Knobs() (catalog.Knobs, error) {
+	plan, err := f.FaultPlan()
+	if err != nil {
+		return catalog.Knobs{}, err
+	}
+	fleet, err := f.FleetSpec()
+	if err != nil {
+		return catalog.Knobs{}, err
+	}
+	return catalog.Knobs{Pipeline: f.Pipeline, Fast: f.Fast, Faults: plan, Fleet: fleet}, nil
+}
+
 // Options builds the engine options the shared flags describe: worker
 // count, ordered delivery, and (with -progress) a throttled ETA line on
 // stderr prefixed with the tool name.
@@ -191,6 +217,71 @@ func (f *CampaignFlags) WriteShardOut(tool string, sh *campaign.Shard, rep *camp
 	}
 	fmt.Printf("\nshard aggregates written to %s — combine with: %s -merge <all shard files>\n", path, tool)
 	return nil
+}
+
+// Execute flies spec on this machine, the path every bench tool shares:
+// -shard narrows it to one slice (printing the range banner), -trace and
+// -checkpoint wire into it, Ctrl-C cancels between runs (printing the
+// resume hint), and a shard's aggregates are written to -out. Errors are
+// fatal.
+func (f *CampaignFlags) Execute(tool string, spec campaign.Spec, opts campaign.Options) *campaign.Report {
+	sh, sub, err := f.ApplyShard(tool, spec)
+	if err != nil {
+		Fatal(tool, 2, err)
+	}
+	// A shard's sub-spec is rebuilt from its runs; the hooks carry over
+	// and see shard-local run indices.
+	sub.Configure = spec.Configure
+	closeTrace, err := f.WireTrace(&sub, &opts)
+	if err != nil {
+		Fatal(tool, 1, err)
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	j, err := f.OpenCheckpoint(sub)
+	if err != nil {
+		Fatal(tool, 1, err)
+	}
+	if j != nil {
+		defer j.Close()
+		opts.Checkpoint = j
+	}
+
+	report, err := campaign.Execute(ctx, sub, opts)
+	if err != nil {
+		closeTrace()
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		f.CheckpointHint(tool, ctx.Err() != nil)
+		os.Exit(1)
+	}
+	if err := closeTrace(); err != nil {
+		Fatal(tool, 1, err)
+	}
+	if sh != nil {
+		if err := f.WriteShardOut(tool, sh, report); err != nil {
+			Fatal(tool, 1, err)
+		}
+	}
+	return report
+}
+
+// Merge is the -merge prologue every bench tool shares: it reads the
+// shard result files, merges them and prints the merge banner and the
+// aggregate digest. unit names what a run is to the tool ("runs",
+// "flights"). Errors are fatal.
+func Merge(tool, unit string, files []string) map[core.Generation]*scenario.Aggregate {
+	shards, err := campaign.ReadShardResults(files)
+	if err != nil {
+		Fatal(tool, 2, err)
+	}
+	merged, err := campaign.MergeShards(shards)
+	if err != nil {
+		Fatal(tool, 1, err)
+	}
+	fmt.Printf("merged %d shards (%d %s)\n", len(shards), shards[0].Total, unit)
+	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(merged))
+	return merged
 }
 
 // Fatal prints a tool-prefixed error and exits with the given code.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"flag"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/worldgen"
 )
 
 func testSpec() campaign.Spec {
@@ -97,6 +100,57 @@ func TestFleetFlag(t *testing.T) {
 		if err := parse(t, args...).Validate(); err == nil {
 			t.Errorf("Validate(%v): want error, got nil", args)
 		}
+	}
+}
+
+// TestKnobs: the shared timing flags reach a catalog build parsed, and a
+// malformed fault plan or fleet size is refused.
+func TestKnobs(t *testing.T) {
+	k, err := parse(t, "-pipeline", "-fast", "-faults", "gps").Knobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !k.Pipeline || !k.Fast || !k.Faults.Active() || k.Fleet != nil || k.PipelineLag != 0 {
+		t.Fatalf("knobs: %+v", k)
+	}
+	if k, err = parse(t, "-fleet", "3").Knobs(); err != nil || k.Fleet.Size != 3 {
+		t.Fatalf("-fleet 3: %+v, %v", k, err)
+	}
+	for _, args := range [][]string{{"-fleet", "0"}, {"-faults", "no-such-fault"}} {
+		if _, err := parse(t, args...).Knobs(); err == nil {
+			t.Errorf("Knobs(%v) accepted", args)
+		}
+	}
+}
+
+// TestExecuteShardsAndMerge drives the tools' local path as two -shard
+// runs: each flies its slice with the spec's hook, writes -out, and Merge
+// recombines the files into the uninterrupted campaign's digest.
+func TestExecuteShardsAndMerge(t *testing.T) {
+	spec := testSpec()
+	direct, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var hooked atomic.Int64
+	spec.Configure = func(campaign.Run, *worldgen.Scenario, *core.System, *scenario.RunConfig) { hooked.Add(1) }
+	dir := t.TempDir()
+	var files []string
+	for _, sh := range []string{"1/2", "2/2"} {
+		out := filepath.Join(dir, strings.ReplaceAll(sh, "/", "-of-")+".json")
+		f := &CampaignFlags{Workers: 2, Shard: sh, Out: out}
+		if rep := f.Execute("test", spec, f.Options("test")); len(rep.Results) != spec.Total()/2 {
+			t.Fatalf("shard %s flew %d runs, want %d", sh, len(rep.Results), spec.Total()/2)
+		}
+		files = append(files, out)
+	}
+	if got := int(hooked.Load()); got != spec.Total() {
+		t.Fatalf("Configure ran %d times across the shards, want %d", got, spec.Total())
+	}
+	merged := Merge("test", "runs", []string{files[1], files[0]})
+	if got, want := campaign.AggregatesDigest(merged), direct.Digest(); got != want {
+		t.Fatalf("merged digest %s != direct %s", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -31,30 +30,13 @@ func traceSpec(t *testing.T) campaign.Spec {
 	return spec
 }
 
-// runTraced executes spec with -trace armed and returns the file bytes.
+// runTraced executes spec through the tools' local path with -trace
+// armed (and -checkpoint, when journal is set) and returns the file bytes.
 func runTraced(t *testing.T, spec campaign.Spec, workers int, journal string) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	f := &CampaignFlags{Trace: path, Workers: workers}
-	opts := campaign.Options{Workers: workers}
-	closeTrace, err := f.WireTrace(&spec, &opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if journal != "" {
-		j, err := campaign.OpenJournal(journal, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		opts.Checkpoint = j
-	}
-	if _, err := campaign.Execute(context.Background(), spec, opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := closeTrace(); err != nil {
-		t.Fatal(err)
-	}
+	f := &CampaignFlags{Trace: path, Workers: workers, Checkpoint: journal}
+	f.Execute("test", spec, campaign.Options{Workers: workers})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

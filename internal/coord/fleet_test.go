@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/hil"
 	"repro/internal/scenario"
 )
 
@@ -116,50 +116,46 @@ func TestLoopbackFleetDigestIdentity(t *testing.T) {
 	}
 }
 
-// TestLoopbackFleetProfile round-trips a named run-configuration profile:
-// the coordinator ships only the profile name, the worker resolves it to
-// the same Configure hook a local hilbench run installs, and the digests
-// agree.
+// TestLoopbackFleetProfile round-trips every catalog campaign over the
+// lease path: the coordinator ships only the campaign's profile name, the
+// worker rebuilds the same Configure hook a local run of the tool installs
+// (HIL cadences; field's weather floors and spurious-depth rate), and the
+// digests agree.
 func TestLoopbackFleetProfile(t *testing.T) {
-	plan := hil.DerivePlan(hil.JetsonNanoMAXN(), hil.NanoCosts())
-	spec := campaign.Spec{
-		Maps:        campaign.Range(1),
-		Scenarios:   campaign.Range(2),
-		Repeats:     1,
-		Generations: []core.Generation{core.V3},
-		Timing:      plan.Timing,
-		Seed: func(c campaign.Cell) int64 {
-			return int64(c.MapIdx)*1_000_003 + int64(c.ScenarioIdx)*9_176 + int64(c.Rep)*77_711 + 300
-		},
-	}
+	grid := catalog.Grid{Maps: 1, Scenarios: 2, Repeats: 1, Systems: "1", Runs: 2}
+	for _, name := range catalog.Names() {
+		t.Run(name, func(t *testing.T) {
+			c, err := catalog.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := c.Spec(grid, catalog.Knobs{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2, Ordered: true})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	directSpec := spec
-	fn, err := ResolveProfile("hil-maxn", spec.Timing.Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	directSpec.Configure = fn
-	direct, err := campaign.Execute(context.Background(), directSpec, campaign.Options{Workers: 2, Ordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+			coordinator, err := NewCoordinator(Config{Spec: spec, Profile: c.Profile(), LeaseTTL: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(coordinator.Handler())
+			defer srv.Close()
 
-	c, err := NewCoordinator(Config{Spec: spec, Profile: "hil-maxn", LeaseTTL: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			if _, err := Work(ctx, WorkerOptions{
+				Addr: srv.URL, Name: "w0", EngineWorkers: 2, PollInterval: 20 * time.Millisecond,
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if _, err := Work(ctx, WorkerOptions{
-		Addr: srv.URL, Name: "w0", EngineWorkers: 2, PollInterval: 20 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := c.Digest(), direct.Digest(); got != want {
-		t.Fatalf("profile fleet digest %s != direct digest %s", got, want)
+			if got, want := coordinator.Digest(), direct.Digest(); got != want {
+				t.Fatalf("profile %q fleet digest %s != direct digest %s", c.Profile(), got, want)
+			}
+		})
 	}
 }

@@ -77,8 +77,8 @@ type Lease struct {
 	// Runs carry their canonical campaign indices in Run.Index.
 	Runs   []campaign.Run  `json:"runs"`
 	Timing scenario.Timing `json:"timing"`
-	// Profile names the run-configuration profile the worker must apply
-	// (see RegisterProfile); empty means plain grid runs.
+	// Profile names the catalog campaign whose Configure hook the worker
+	// must apply (see catalog.Hook); empty means plain grid runs.
 	Profile string `json:"profile,omitempty"`
 	// TTLSeconds is how long the coordinator will wait between heartbeats
 	// before declaring the lease lost and re-dispatching it;

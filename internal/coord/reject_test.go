@@ -295,19 +295,44 @@ func TestLeaseAndHeartbeatValidation(t *testing.T) {
 // the same runs — the fail-fast for version skew, caught before any
 // compute is spent.
 func TestWorkerRefusesSubSigSkew(t *testing.T) {
+	err := workRefusedLease(t, func(l *Lease) { l.SubSig = "0000000000000000" })
+	if err == nil || !strings.Contains(err.Error(), "signature skew") {
+		t.Fatalf("err = %v, want signature skew", err)
+	}
+}
+
+// TestWorkerRefusesUnknownProfile: a lease naming a profile no catalog
+// campaign carries is refused before any run flies — executing it without
+// its hook would produce wrong-but-plausible digests.
+func TestWorkerRefusesUnknownProfile(t *testing.T) {
+	err := workRefusedLease(t, func(l *Lease) { l.Profile = "turbo" })
+	if err == nil || !strings.Contains(err.Error(), `unknown profile "turbo"`) {
+		t.Fatalf("err = %v, want unknown profile", err)
+	}
+}
+
+// workRefusedLease serves one well-formed lease, edited by edit, to a
+// real worker and returns the worker's error; the lease must be refused
+// before the engine runs.
+func workRefusedLease(t *testing.T, edit func(*Lease)) error {
+	t.Helper()
 	spec := rejectSpec(2)
 	runs, err := spec.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	timing := spec.Timing.Canonical()
+	lease := Lease{
+		ID: 1, Sig: "sig", Start: 0, End: len(runs), Total: len(runs),
+		Runs: runs, Timing: timing, TTLSeconds: 30,
+	}
+	if lease.SubSig, err = lease.Spec().Signature(); err != nil {
+		t.Fatal(err)
+	}
+	edit(&lease)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathLease, func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(Lease{
-			ID: 1, Sig: "sig", SubSig: "0000000000000000",
-			Start: 0, End: len(runs), Total: len(runs),
-			Runs: runs, Timing: timing, TTLSeconds: 30,
-		})
+		json.NewEncoder(w).Encode(lease)
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -320,25 +345,8 @@ func TestWorkerRefusesSubSigSkew(t *testing.T) {
 			return nil, nil
 		},
 	})
-	if err == nil || !strings.Contains(err.Error(), "signature skew") {
-		t.Fatalf("err = %v, want signature skew", err)
-	}
 	if executed {
 		t.Fatal("worker must refuse the lease before running anything")
 	}
-}
-
-func TestResolveProfile(t *testing.T) {
-	timing := scenario.SILTiming()
-	if fn, err := ResolveProfile("", timing); err != nil || fn != nil {
-		t.Fatalf("empty profile: fn=%v err=%v, want nil,nil", fn, err)
-	}
-	for _, name := range ProfileNames() {
-		if fn, err := ResolveProfile(name, timing); err != nil || fn == nil {
-			t.Fatalf("profile %q: fn=%v err=%v", name, fn, err)
-		}
-	}
-	if _, err := ResolveProfile("turbo", timing); err == nil || !strings.Contains(err.Error(), "turbo") {
-		t.Fatalf("unknown profile: err = %v", err)
-	}
+	return err
 }

@@ -20,8 +20,9 @@ import (
 type Config struct {
 	// Spec is the full campaign to dispatch.
 	Spec campaign.Spec
-	// Profile names the worker-side run-configuration profile (see
-	// RegisterProfile) every lease carries; empty means plain grid runs.
+	// Profile is the lease profile of the campaign's catalog entry
+	// (catalog.Campaign.Profile), carried by every lease so workers apply
+	// its Configure hook; empty means plain grid runs.
 	Profile string
 	// LeaseTTL is how long a lease may go without a heartbeat before it is
 	// declared lost and re-dispatched. Zero means a 30s default.

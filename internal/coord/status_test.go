@@ -8,11 +8,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/scenario"
-	"repro/internal/vision"
-	"repro/internal/worldgen"
 )
 
 // TestStatusEndpoint walks /v1/status through a campaign's life: fresh,
@@ -84,57 +79,4 @@ func TestLeaseTTLAndWorkerSummaryString(t *testing.T) {
 			t.Fatalf("summary %q missing %q", str, frag)
 		}
 	}
-}
-
-// TestProfileHooksConfigure executes each built-in profile's configure
-// hook against a real system, in both pipeline modes — the hooks are what
-// make a fleet run reproduce the standalone tools' campaigns, so they
-// must at least apply their cadence and degradation settings untouched.
-func TestProfileHooksConfigure(t *testing.T) {
-	dict := vision.DefaultDictionary()
-	timings := map[string]scenario.Timing{
-		"inline":    scenario.SILTiming(),
-		"pipelined": func() scenario.Timing { tm := scenario.SILTiming(); tm.Pipeline = scenario.PipelineOn; return tm }(),
-	}
-	for mode, timing := range timings {
-		for _, name := range ProfileNames() {
-			hook, err := ResolveProfile(name, timing)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, mode, err)
-			}
-			sys, err := core.NewV1(7, geom.Vec3{}, dict)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := &worldgen.Scenario{}
-			cfg := &scenario.RunConfig{}
-			hook(campaign.Run{}, sc, sys, cfg)
-			if name == "field" {
-				if sc.Weather.GPSDegradation < 0.5 {
-					t.Errorf("field/%s: GPS degradation floor not applied: %v", mode, sc.Weather.GPSDegradation)
-				}
-				if sc.Weather.GustStd < 1.0 {
-					t.Errorf("field/%s: gust floor not applied: %v", mode, sc.Weather.GustStd)
-				}
-				if cfg.ErroneousDepthRate != 0.04 {
-					t.Errorf("field/%s: erroneous depth rate = %v, want 0.04", mode, cfg.ErroneousDepthRate)
-				}
-			}
-		}
-	}
-}
-
-func TestRegisterProfileGuards(t *testing.T) {
-	mustPanic := func(name string, f ProfileFunc) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("RegisterProfile(%q) did not panic", name)
-			}
-		}()
-		RegisterProfile(name, f)
-	}
-	mustPanic("", fieldProfile)      // empty name
-	mustPanic("broken", nil)         // nil func
-	mustPanic("field", fieldProfile) // duplicate of a built-in
 }

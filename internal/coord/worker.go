@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/catalog"
 	"repro/internal/scenario"
 )
 
@@ -221,7 +222,10 @@ func (w *worker) runLease(ctx context.Context, lease *Lease) error {
 		return fmt.Errorf("coord: lease %d signature skew (local %.12s…, coordinator %.12s…) — worker and coordinator builds resolve the spec differently",
 			lease.ID, subSig, lease.SubSig)
 	}
-	if sub.Configure, err = ResolveProfile(lease.Profile, lease.Timing); err != nil {
+	// The campaign's result-changing hook is a function, so it cannot
+	// travel the wire: the lease names its campaign and the catalog
+	// rebuilds the hook.
+	if sub.Configure, err = catalog.Hook(lease.Profile); err != nil {
 		return err
 	}
 
