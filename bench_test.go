@@ -668,6 +668,106 @@ func BenchmarkGroundHeight(b *testing.B) {
 	}
 }
 
+// mapCapture is one world-frame depth capture, as core fuses it.
+type mapCapture struct {
+	origin geom.Vec3
+	ends   []geom.Vec3
+	hits   []bool
+}
+
+// mapCaptures returns a fixed sequence of 16 forward depth captures along
+// a 24 m pass over the tree-heavy rural world, each transformed to the
+// world frame the way the closed loop does it.
+func mapCaptures(b *testing.B) []mapCapture {
+	sc, err := worldgen.Generate(1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	depth := sim.NewDepthCamera(2)
+	caps := make([]mapCapture, 16)
+	for i := range caps {
+		pos := geom.V3(-12+1.5*float64(i), 4*math.Sin(float64(i)/3), 8)
+		yaw := 0.4 * math.Cos(float64(i)/2)
+		cy, sy := math.Cos(yaw), math.Sin(yaw)
+		c := mapCapture{origin: pos}
+		for _, d := range depth.Capture(sc.World, pos, yaw) {
+			p := d.Point
+			c.ends = append(c.ends, geom.V3(p.X*cy-p.Y*sy, p.X*sy+p.Y*cy, p.Z).Add(pos))
+			c.hits = append(c.hits, d.Hit)
+		}
+		caps[i] = c
+	}
+	return caps
+}
+
+// warmMaps returns the V3 octree and the V2 local grid with the capture
+// sequence replayed until every log-odds value along it has saturated.
+func warmMaps(caps []mapCapture) []struct {
+	name string
+	m    mapping.Map
+} {
+	octree := mapping.NewOctree(geom.V3(0, 0, 16), 160, 0.5, 1.0)
+	local := mapping.NewLocalGrid(geom.V3(44, 44, 26), 0.5, 0.6)
+	local.Recenter(geom.V3(0, 0, 8))
+	maps := []struct {
+		name string
+		m    mapping.Map
+	}{{"Octree", octree}, {"LocalGrid", local}}
+	for _, mm := range maps {
+		for pass := 0; pass < 8; pass++ {
+			for _, c := range caps {
+				mm.m.InsertCloud(c.origin, c.ends, c.hits)
+			}
+		}
+	}
+	return maps
+}
+
+// BenchmarkInsertCloud times one depth-capture fusion into a saturated
+// map: the per-tick insert of MLS-V3's octree and MLS-V2's local grid.
+func BenchmarkInsertCloud(b *testing.B) {
+	caps := mapCaptures(b)
+	for _, mm := range warmMaps(caps) {
+		b.Run(mm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := &caps[i%len(caps)]
+				mm.m.InsertCloud(c.origin, c.ends, c.hits)
+			}
+		})
+	}
+}
+
+// BenchmarkBlocked times 1024 inflated-clearance probes against a
+// saturated map, spread along the captured rays the way RRT* collision
+// checks step along candidate edges.
+func BenchmarkBlocked(b *testing.B) {
+	caps := mapCaptures(b)
+	var probes []geom.Vec3
+	for i := 0; len(probes) < 1024; i++ {
+		c := &caps[i%len(caps)]
+		e := c.ends[(i*7)%len(c.ends)]
+		probes = append(probes, c.origin.Lerp(e, float64(i%16)/15))
+	}
+	for _, mm := range warmMaps(caps) {
+		b.Run(mm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range probes {
+					if mm.m.Blocked(p) {
+						blockedSink++
+					}
+				}
+			}
+		})
+	}
+}
+
+// blockedSink keeps BenchmarkBlocked's probes from being optimized away.
+var blockedSink int
+
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()

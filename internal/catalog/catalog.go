@@ -225,6 +225,9 @@ func productGrid(g Grid) (campaign.Spec, error) {
 	if g.Maps < 1 || g.Maps > 10 || g.Scenarios < 1 || g.Scenarios > worldgen.NumScenariosPerMap {
 		return campaign.Spec{}, fmt.Errorf("-maps must be 1-10 and -scenarios 1-10")
 	}
+	if g.Repeats < 1 {
+		return campaign.Spec{}, fmt.Errorf("-repeats must be at least 1")
+	}
 	return campaign.Spec{
 		Maps:      campaign.Range(g.Maps),
 		Scenarios: campaign.Range(g.Scenarios),

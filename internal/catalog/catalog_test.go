@@ -128,11 +128,14 @@ func TestSpecRejects(t *testing.T) {
 		campaign *Campaign
 		grid     Grid
 	}{
-		{SIL, Grid{Maps: 0, Scenarios: 1, Systems: "1"}},
-		{SIL, Grid{Maps: 11, Scenarios: 1, Systems: "1"}},
-		{SIL, Grid{Maps: 1, Scenarios: 11, Systems: "1"}},
-		{SIL, Grid{Maps: 1, Scenarios: 1, Systems: "x"}},
-		{HILMAXN, Grid{Maps: 1, Scenarios: 0}},
+		{SIL, Grid{Maps: 0, Scenarios: 1, Repeats: 1, Systems: "1"}},
+		{SIL, Grid{Maps: 11, Scenarios: 1, Repeats: 1, Systems: "1"}},
+		{SIL, Grid{Maps: 1, Scenarios: 11, Repeats: 1, Systems: "1"}},
+		{SIL, Grid{Maps: 1, Scenarios: 1, Repeats: 1, Systems: "x"}},
+		{SIL, Grid{Maps: 1, Scenarios: 1, Repeats: 0, Systems: "1"}},
+		{SIL, Grid{Maps: 1, Scenarios: 1, Repeats: -2, Systems: "1"}},
+		{HILMAXN, Grid{Maps: 1, Scenarios: 0, Repeats: 1}},
+		{HILMAXN, Grid{Maps: 1, Scenarios: 1, Repeats: 0}},
 		{Field, Grid{Runs: 0}},
 	} {
 		if _, err := c.campaign.Spec(c.grid, Knobs{}); err == nil {

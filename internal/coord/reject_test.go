@@ -69,7 +69,7 @@ func fakeEntry(i int, dur float64) campaign.RunEntry {
 	return campaign.RunEntry{Index: i, Digest: r.Digest(), Result: r}
 }
 
-func gzEntries(t *testing.T, entries []campaign.RunEntry) []byte {
+func gzEntries(t testing.TB, entries []campaign.RunEntry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)

@@ -75,30 +75,37 @@ func (g *DenseGrid) Blocked(p geom.Vec3) bool {
 
 // InsertRay implements Map.
 func (g *DenseGrid) InsertRay(origin, end geom.Vec3, hit bool) {
-	walkRay(origin, end, g.res, func(ix, iy, iz int) bool {
-		p := voxelCenter(ix, iy, iz, g.res)
-		if i, ok := g.index(p); ok && g.cells[i] == Unknown {
-			g.cells[i] = Free
-		}
-		return true
-	})
+	var w dda
+	for w.init(origin, end, g.res); w.more(); w.step() {
+		g.markFree(voxelCenter(w.ix, w.iy, w.iz, g.res))
+	}
 	if hit {
 		g.setOccupied(end)
-	} else if i, ok := g.index(end); ok && g.cells[i] == Unknown {
-		g.cells[i] = Free
+	} else {
+		g.markFree(end)
 	}
 }
 
 // InsertCloud implements Map with per-capture voxel dedup.
 func (g *DenseGrid) InsertCloud(origin geom.Vec3, ends []geom.Vec3, hits []bool) {
 	g.scratch.collect(g.res, origin, ends, hits)
-	for _, p := range g.scratch.free {
-		if i, ok := g.index(p); ok && g.cells[i] == Unknown {
-			g.cells[i] = Free
+	for _, v := range g.scratch.voxels {
+		if !v.occ {
+			g.markFree(v.p)
 		}
 	}
-	for _, p := range g.scratch.occ {
-		g.setOccupied(p)
+	for _, v := range g.scratch.voxels {
+		if v.occ {
+			g.setOccupied(v.p)
+		}
+	}
+}
+
+// markFree marks the voxel containing p observed-free unless it was
+// already observed.
+func (g *DenseGrid) markFree(p geom.Vec3) {
+	if i, ok := g.index(p); ok && g.cells[i] == Unknown {
+		g.cells[i] = Free
 	}
 }
 

@@ -25,9 +25,8 @@ type LocalGrid struct {
 	keys       []voxelKey
 	states     []VoxelState
 	occupied   voxelTable // occupied voxels inside the window
-	inflated   voxelTable
+	inflated   inflationLayer
 	evictBuf   []int64 // Recenter scratch
-	inflBall   [][3]int
 	scratch    cloudScratch
 }
 
@@ -40,7 +39,7 @@ func NewLocalGrid(extents geom.Vec3, res, inflation float64) *LocalGrid {
 	nx := int(extents.X/res) + 1
 	ny := int(extents.Y/res) + 1
 	nz := int(extents.Z/res) + 1
-	g := &LocalGrid{
+	return &LocalGrid{
 		res:       res,
 		inflation: inflation,
 		half:      extents.Scale(0.5),
@@ -48,21 +47,8 @@ func NewLocalGrid(extents geom.Vec3, res, inflation float64) *LocalGrid {
 		keys:     make([]voxelKey, nx*ny*nz),
 		states:   make([]VoxelState, nx*ny*nz),
 		occupied: newVoxelTable(1024),
-		inflated: newVoxelTable(4096),
+		inflated: newInflationLayer(res, inflation),
 	}
-	r := int(inflation/res) + 1
-	rr := inflation + res
-	for dz := -r; dz <= r; dz++ {
-		for dy := -r; dy <= r; dy++ {
-			for dx := -r; dx <= r; dx++ {
-				d := geom.V3(float64(dx), float64(dy), float64(dz)).Scale(res)
-				if d.LenSq() <= rr*rr {
-					g.inflBall = append(g.inflBall, [3]int{dx, dy, dz})
-				}
-			}
-		}
-	}
-	return g
 }
 
 // Recenter moves the window to follow the vehicle and evicts occupied
@@ -85,7 +71,8 @@ func (g *LocalGrid) Recenter(center geom.Vec3) {
 	}
 	for _, kk := range g.evictBuf {
 		g.occupied.del(kk)
-		g.paintInflation(voxelKey(kk), -1)
+		ix, iy, iz := keyIndices(voxelKey(kk))
+		g.inflated.paint(ix, iy, iz, -1)
 	}
 }
 
@@ -103,20 +90,6 @@ func keyIndices(k voxelKey) (ix, iy, iz int) {
 	iy = int((int64(k)>>21)&((1<<21)-1)) - keyOffset
 	ix = int((int64(k)>>42)&((1<<21)-1)) - keyOffset
 	return ix, iy, iz
-}
-
-// paintInflation adds delta to the inflation footprint around voxel k.
-func (g *LocalGrid) paintInflation(k voxelKey, delta int32) {
-	ix, iy, iz := keyIndices(k)
-	for _, d := range g.inflBall {
-		kk := packKey(ix+d[0], iy+d[1], iz+d[2])
-		v := g.inflated.get(int64(kk)) + delta
-		if v <= 0 {
-			g.inflated.del(int64(kk))
-		} else {
-			g.inflated.put(int64(kk), v)
-		}
-	}
 }
 
 // inWindow reports whether p lies inside the current window.
@@ -155,36 +128,38 @@ func (g *LocalGrid) State(p geom.Vec3) VoxelState {
 	return g.states[s]
 }
 
-// Blocked implements Map with a single hash probe.
+// Blocked implements Map with a single brick probe.
 func (g *LocalGrid) Blocked(p geom.Vec3) bool {
-	ix, iy, iz := voxelOf(p, g.res)
-	return g.inflated.get(int64(packKey(ix, iy, iz))) > 0
+	return g.inflated.has(voxelOf(p, g.res))
 }
 
 // InsertRay implements Map.
 func (g *LocalGrid) InsertRay(origin, end geom.Vec3, hit bool) {
-	walkRay(origin, end, g.res, func(ix, iy, iz int) bool {
-		g.write(ix, iy, iz, Free, false)
-		return true
-	})
-	ex, ey, ez := voxelOf(end, g.res)
+	var w dda
+	for w.init(origin, end, g.res); w.more(); w.step() {
+		g.write(w.ix, w.iy, w.iz, Free, false)
+	}
 	if hit {
-		g.write(ex, ey, ez, Occupied, true)
+		g.write(w.ex, w.ey, w.ez, Occupied, true)
 	} else {
-		g.write(ex, ey, ez, Free, false)
+		g.write(w.ex, w.ey, w.ez, Free, false)
 	}
 }
 
 // InsertCloud implements Map with per-capture voxel dedup.
 func (g *LocalGrid) InsertCloud(origin geom.Vec3, ends []geom.Vec3, hits []bool) {
 	g.scratch.collect(g.res, origin, ends, hits)
-	for k := range g.scratch.free {
-		ix, iy, iz := keyIndices(k)
-		g.write(ix, iy, iz, Free, false)
+	for _, v := range g.scratch.voxels {
+		if !v.occ {
+			ix, iy, iz := keyIndices(v.key)
+			g.write(ix, iy, iz, Free, false)
+		}
 	}
-	for k := range g.scratch.occ {
-		ix, iy, iz := keyIndices(k)
-		g.write(ix, iy, iz, Occupied, true)
+	for _, v := range g.scratch.voxels {
+		if v.occ {
+			ix, iy, iz := keyIndices(v.key)
+			g.write(ix, iy, iz, Occupied, true)
+		}
 	}
 }
 
@@ -207,11 +182,11 @@ func (g *LocalGrid) write(ix, iy, iz int, st VoxelState, force bool) {
 	if st == Occupied {
 		if !g.occupied.has(int64(k)) {
 			g.occupied.put(int64(k), 1)
-			g.paintInflation(k, 1)
+			g.inflated.paint(ix, iy, iz, 1)
 		}
 	} else if prevOccupied {
 		g.occupied.del(int64(k))
-		g.paintInflation(k, -1)
+		g.inflated.paint(ix, iy, iz, -1)
 	}
 }
 

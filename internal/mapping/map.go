@@ -118,129 +118,144 @@ func (NullMap) OccupiedVoxels() int { return 0 }
 
 var _ Map = NullMap{}
 
-// walkRay visits the voxel indices along the segment from a to b at the
-// given resolution using a 3-D amanatides-woo DDA, calling visit for every
-// cell strictly before the final one, then returning the final cell. The
-// visit callback returning false stops early.
-func walkRay(a, b geom.Vec3, res float64, visit func(ix, iy, iz int) bool) (ex, ey, ez int) {
-	ix, iy, iz := voxelOf(a, res)
-	ex, ey, ez = voxelOf(b, res)
+// dda is a 3-D Amanatides-Woo voxel traversal of the segment from a to b
+// at a fixed resolution. Callers drive it as a plain loop, so the per-cell
+// work stays in the caller's body instead of behind a callback:
+//
+//	var w dda
+//	for w.init(a, b, res); w.more(); w.step() {
+//		// visit (w.ix, w.iy, w.iz): every cell strictly before the final one
+//	}
+//	// (w.ex, w.ey, w.ez) is the final cell, the one containing b
+type dda struct {
+	ix, iy, iz                int
+	ex, ey, ez                int
+	sx, sy, sz                int
+	tMaxX, tMaxY, tMaxZ       float64
+	tDeltaX, tDeltaY, tDeltaZ float64
+	n, maxSteps               int
+}
+
+// init starts the traversal at the cell containing a.
+func (w *dda) init(a, b geom.Vec3, res float64) {
+	w.ix, w.iy, w.iz = voxelOf(a, res)
+	w.ex, w.ey, w.ez = voxelOf(b, res)
+	w.n, w.maxSteps = 0, 0
 	d := b.Sub(a)
 	length := d.Len()
 	if length == 0 {
-		return ex, ey, ez
-	}
-	dir := d.Scale(1 / length)
-
-	step := func(v float64) int {
-		if v > 0 {
-			return 1
-		}
-		if v < 0 {
-			return -1
-		}
-		return 0
-	}
-	sx, sy, sz := step(dir.X), step(dir.Y), step(dir.Z)
-
-	// tMax: distance along the ray to the first boundary crossing per axis.
-	tMaxFor := func(c, dirC float64, i, s int) float64 {
-		if s == 0 {
-			return 1e18
-		}
-		var boundary float64
-		if s > 0 {
-			boundary = float64(i+1) * res
-		} else {
-			boundary = float64(i) * res
-		}
-		return (boundary - c) / dirC
-	}
-	tMaxX := tMaxFor(a.X, dir.X, ix, sx)
-	tMaxY := tMaxFor(a.Y, dir.Y, iy, sy)
-	tMaxZ := tMaxFor(a.Z, dir.Z, iz, sz)
-	tDeltaX, tDeltaY, tDeltaZ := 1e18, 1e18, 1e18
-	if sx != 0 {
-		tDeltaX = res / absf(dir.X)
-	}
-	if sy != 0 {
-		tDeltaY = res / absf(dir.Y)
-	}
-	if sz != 0 {
-		tDeltaZ = res / absf(dir.Z)
-	}
-
-	// Hard cap guards against degenerate float behavior.
-	maxSteps := int(length/res)*3 + 16
-	for n := 0; n < maxSteps; n++ {
-		if ix == ex && iy == ey && iz == ez {
-			return ex, ey, ez
-		}
-		if !visit(ix, iy, iz) {
-			return ex, ey, ez
-		}
-		switch {
-		case tMaxX <= tMaxY && tMaxX <= tMaxZ:
-			ix += sx
-			tMaxX += tDeltaX
-		case tMaxY <= tMaxZ:
-			iy += sy
-			tMaxY += tDeltaY
-		default:
-			iz += sz
-			tMaxZ += tDeltaZ
-		}
-	}
-	return ex, ey, ez
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// cloudScratch is reusable dedup state for InsertCloud implementations.
-type cloudScratch struct {
-	free map[voxelKey]geom.Vec3 // voxel -> representative point
-	occ  map[voxelKey]geom.Vec3
-}
-
-func (c *cloudScratch) reset() {
-	if c.free == nil {
-		c.free = make(map[voxelKey]geom.Vec3, 512)
-		c.occ = make(map[voxelKey]geom.Vec3, 64)
 		return
 	}
-	clear(c.free)
-	clear(c.occ)
+	dir := d.Scale(1 / length)
+	w.sx, w.tMaxX, w.tDeltaX = ddaAxis(a.X, dir.X, w.ix, res)
+	w.sy, w.tMaxY, w.tDeltaY = ddaAxis(a.Y, dir.Y, w.iy, res)
+	w.sz, w.tMaxZ, w.tDeltaZ = ddaAxis(a.Z, dir.Z, w.iz, res)
+	// Hard cap guards against degenerate float behavior.
+	w.maxSteps = int(length/res)*3 + 16
 }
 
-// collect walks every ray once, recording each touched voxel at most once
-// as free (pass-through) and each surface endpoint at most once as
-// occupied. Occupied wins over free for the same voxel within a capture.
+// ddaAxis returns one axis's step sign, the distance along the ray to its
+// first cell boundary, and the distance between boundaries.
+func ddaAxis(c, dirC float64, i int, res float64) (s int, tMax, tDelta float64) {
+	switch {
+	case dirC > 0:
+		return 1, (float64(i+1)*res - c) / dirC, res / dirC
+	case dirC < 0:
+		return -1, (float64(i)*res - c) / dirC, res / -dirC
+	}
+	return 0, 1e18, 1e18
+}
+
+// more reports whether the current cell is one to visit.
+func (w *dda) more() bool {
+	return w.n < w.maxSteps && (w.ix != w.ex || w.iy != w.ey || w.iz != w.ez)
+}
+
+// step advances to the next cell along the ray.
+func (w *dda) step() {
+	w.n++
+	switch {
+	case w.tMaxX <= w.tMaxY && w.tMaxX <= w.tMaxZ:
+		w.ix += w.sx
+		w.tMaxX += w.tDeltaX
+	case w.tMaxY <= w.tMaxZ:
+		w.iy += w.sy
+		w.tMaxY += w.tDeltaY
+	default:
+		w.iz += w.sz
+		w.tMaxZ += w.tDeltaZ
+	}
+}
+
+// cloudVoxel is one voxel a capture touched. p is the point its update
+// uses: the first touch in ray order (the cell center for a pass-through,
+// the endpoint for a return), replaced by the first hit endpoint when a
+// surface return claims the voxel — occupied wins over free.
+type cloudVoxel struct {
+	key voxelKey
+	p   geom.Vec3
+	occ bool
+}
+
+// cloudScratch is the reusable per-capture dedup state shared by every
+// InsertCloud: voxels in the order each was first touched, plus an
+// open-addressing table from key to position in that list.
+type cloudScratch struct {
+	slots  []int32 // 1 + index into voxels; 0 is an empty slot
+	voxels []cloudVoxel
+}
+
+// collect walks every ray once, recording each touched voxel once. Callers
+// then apply a miss to every free voxel and, after all misses, a hit to
+// every occupied one, both in first-touch order.
 func (c *cloudScratch) collect(res float64, origin geom.Vec3, ends []geom.Vec3, hits []bool) {
-	c.reset()
+	if c.slots == nil {
+		c.slots = make([]int32, 256)
+	} else {
+		clear(c.slots)
+	}
+	c.voxels = c.voxels[:0]
+	var w dda
 	for i, end := range ends {
-		walkRay(origin, end, res, func(ix, iy, iz int) bool {
-			k := packKey(ix, iy, iz)
-			if _, seen := c.free[k]; !seen {
-				c.free[k] = voxelCenter(ix, iy, iz, res)
+		for w.init(origin, end, res); w.more(); w.step() {
+			k := packKey(w.ix, w.iy, w.iz)
+			if s := c.find(k); c.slots[s] == 0 {
+				c.add(s, k, voxelCenter(w.ix, w.iy, w.iz, res))
 			}
-			return true
-		})
-		ex, ey, ez := voxelOf(end, res)
-		k := packKey(ex, ey, ez)
-		if i < len(hits) && hits[i] {
-			if _, seen := c.occ[k]; !seen {
-				c.occ[k] = end
-			}
-		} else if _, seen := c.free[k]; !seen {
-			c.free[k] = end
+		}
+		k := packKey(w.ex, w.ey, w.ez)
+		s := c.find(k)
+		v := int(c.slots[s]) - 1
+		if v < 0 {
+			v = c.add(s, k, end)
+		}
+		if i < len(hits) && hits[i] && !c.voxels[v].occ {
+			c.voxels[v].p, c.voxels[v].occ = end, true
 		}
 	}
-	for k := range c.occ {
-		delete(c.free, k)
+}
+
+// find returns the slot holding k, or the empty slot where it belongs.
+func (c *cloudScratch) find(k voxelKey) int {
+	mask := len(c.slots) - 1
+	s := hashSlot(int64(k), mask)
+	for c.slots[s] != 0 && c.voxels[c.slots[s]-1].key != k {
+		s = (s + 1) & mask
 	}
+	return s
+}
+
+// add appends a free voxel at the empty slot s and returns its index,
+// growing the table at half load.
+func (c *cloudScratch) add(s int, k voxelKey, p geom.Vec3) int {
+	c.voxels = append(c.voxels, cloudVoxel{key: k, p: p})
+	c.slots[s] = int32(len(c.voxels))
+	if 2*len(c.voxels) <= len(c.slots) {
+		return len(c.voxels) - 1
+	}
+	c.slots = make([]int32, 2*len(c.slots))
+	for i, v := range c.voxels {
+		c.slots[c.find(v.key)] = int32(i + 1)
+	}
+	return len(c.voxels) - 1
 }

@@ -46,11 +46,10 @@ type Octree struct {
 	childArrays int
 
 	occupied voxelTable
-	inflated voxelTable
-	// inflBall caches the voxel-offset ball for the inflation radius.
-	inflBall [][3]int
+	inflated inflationLayer
 
 	scratch cloudScratch
+	finger  finger
 	// arena chunks amortize node allocation: the tree allocates tens of
 	// thousands of small nodes, and individual allocations dominate GC
 	// cost otherwise.
@@ -94,20 +93,9 @@ func NewOctree(center geom.Vec3, halfSize, res, inflation float64) *Octree {
 		root:      new(octNode),
 		nodes:     1,
 		occupied:  newVoxelTable(1024),
-		inflated:  newVoxelTable(4096),
+		inflated:  newInflationLayer(res, inflation),
 	}
-	r := int(inflation/res) + 1
-	rr := inflation + res
-	for dz := -r; dz <= r; dz++ {
-		for dy := -r; dy <= r; dy++ {
-			for dx := -r; dx <= r; dx++ {
-				d := geom.V3(float64(dx), float64(dy), float64(dz)).Scale(res)
-				if d.LenSq() <= rr*rr {
-					o.inflBall = append(o.inflBall, [3]int{dx, dy, dz})
-				}
-			}
-		}
-	}
+	o.finger.reset(o.root, center, o.halfSize)
 	return o
 }
 
@@ -146,11 +134,15 @@ func (o *Octree) newChildren() *childBlock {
 // InsertCloud implements Map with per-capture voxel dedup.
 func (o *Octree) InsertCloud(origin geom.Vec3, ends []geom.Vec3, hits []bool) {
 	o.scratch.collect(o.res, origin, ends, hits)
-	for _, p := range o.scratch.free {
-		o.update(p, logOddsMiss)
+	for i := range o.scratch.voxels {
+		if v := &o.scratch.voxels[i]; !v.occ {
+			o.update(v.p, logOddsMiss)
+		}
 	}
-	for _, p := range o.scratch.occ {
-		o.update(p, logOddsHit)
+	for i := range o.scratch.voxels {
+		if v := &o.scratch.voxels[i]; v.occ {
+			o.update(v.p, logOddsHit)
+		}
 	}
 }
 
@@ -207,19 +199,18 @@ func (o *Octree) State(p geom.Vec3) VoxelState {
 	return Unknown
 }
 
-// Blocked implements Map: a single hash probe against the reference-
+// Blocked implements Map: a single brick probe against the reference-
 // counted inflation layer.
 func (o *Octree) Blocked(p geom.Vec3) bool {
-	ix, iy, iz := voxelOf(p, o.res)
-	return o.inflated.get(int64(packKey(ix, iy, iz))) > 0
+	return o.inflated.has(voxelOf(p, o.res))
 }
 
 // InsertRay implements Map.
 func (o *Octree) InsertRay(origin, end geom.Vec3, hit bool) {
-	walkRay(origin, end, o.res, func(ix, iy, iz int) bool {
-		o.update(voxelCenter(ix, iy, iz, o.res), logOddsMiss)
-		return true
-	})
+	var w dda
+	for w.init(origin, end, o.res); w.more(); w.step() {
+		o.update(voxelCenter(w.ix, w.iy, w.iz, o.res), logOddsMiss)
+	}
 	if hit {
 		o.update(end, logOddsHit)
 	} else {
@@ -243,47 +234,75 @@ func (o *Octree) update(p geom.Vec3, delta float32) {
 	wasOcc := o.occupied.has(int64(k))
 	if occ && !wasOcc {
 		o.occupied.put(int64(k), 1)
-		o.paintInflation(ix, iy, iz, 1)
+		o.inflated.paint(ix, iy, iz, 1)
 	} else if !occ && wasOcc {
 		o.occupied.del(int64(k))
-		o.paintInflation(ix, iy, iz, -1)
+		o.inflated.paint(ix, iy, iz, -1)
 	}
 }
 
-func (o *Octree) paintInflation(ix, iy, iz int, delta int32) {
-	for _, d := range o.inflBall {
-		k := packKey(ix+d[0], iy+d[1], iz+d[2])
-		v := o.inflated.get(int64(k)) + delta
-		if v <= 0 {
-			o.inflated.del(int64(k))
-		} else {
-			o.inflated.put(int64(k), v)
+// finger is the root-to-node path of the previous update. Consecutive
+// updates of a capture walk neighbouring voxels, so the next descent
+// resumes from the deepest finger node whose region holds the new point
+// instead of from the root. Each level keeps the node, its cube's center
+// and half-size, and the bounds [lo, hi) that the comparisons on the way
+// down to it imply: a point reaches the node from the root exactly when
+// lo <= p < hi on every axis. The bounds come from the centers actually
+// compared, so resuming is exact at any resolution, not only at
+// power-of-two ones.
+type finger struct {
+	n      int // valid levels: node[0] is the root
+	node   [maxDepth + 1]*octNode
+	center [maxDepth + 1]geom.Vec3
+	half   [maxDepth + 1]float64
+	lo, hi [maxDepth + 1]geom.Vec3
+}
+
+// maxDepth bounds the tree depth for any sane halfSize/res ratio.
+const maxDepth = 32
+
+func (f *finger) reset(root *octNode, center geom.Vec3, halfSize float64) {
+	inf := math.Inf(1)
+	f.n = 1
+	f.node[0], f.center[0], f.half[0] = root, center, halfSize
+	f.lo[0], f.hi[0] = geom.V3(-inf, -inf, -inf), geom.V3(inf, inf, inf)
+}
+
+// resume returns the deepest level whose node the descent for p reaches.
+func (f *finger) resume(p geom.Vec3) int {
+	l := f.n - 1
+	for l > 0 {
+		lo, hi := &f.lo[l], &f.hi[l]
+		if lo.X <= p.X && p.X < hi.X && lo.Y <= p.Y && p.Y < hi.Y && lo.Z <= p.Z && p.Z < hi.Z {
+			break
 		}
+		l--
 	}
+	return l
 }
 
 // updateLeaf descends to the leaf at max depth, creating and expanding
-// nodes as needed, then prunes homogeneous children while unwinding an
-// explicit ancestor stack (the loop form of the former recursive descent,
-// bit-identical in float ops and prune order but without the per-level
-// call overhead — this is the hottest path of every depth-cloud fusion).
-// It returns the leaf's resulting log-odds and observed flag — the values
-// a State query at p would see.
+// nodes as needed, then prunes homogeneous children on the way back up.
+// The descent resumes from the finger (see finger): the levels above the
+// resume point are inner nodes whose path children exist, so a descent
+// from the root would pass them without changing anything. It returns the
+// leaf's resulting log-odds and observed flag — the values a State query
+// at p would see.
 //
 // One flag tracks "anything mutated": expansions cascade to the leaf (a
 // pushed-down child repeats its parent's failed saturation check), so the
 // saturation short-circuit can only fire when no node above it expanded —
 // exactly the no-mutation case. A no-change update cannot create prune
 // opportunities (the tree is fully pruned after every mutating update), so
-// the unwind then skips the sibling-uniformity checks entirely.
+// the unwind then skips the sibling-uniformity checks entirely. The unwind
+// also stops at the first level that does not prune: a node that stays
+// inner keeps every ancestor inner too.
 func (o *Octree) updateLeaf(p geom.Vec3, delta float32) (float32, bool) {
-	// stack holds the path of inner nodes above the current one; the tree
-	// is at most ~32 levels deep for any sane halfSize/res ratio.
-	var stack [32]*octNode
-	n := o.root
-	c := o.center
-	half := o.halfSize
-	level := 0
+	f := &o.finger
+	level := f.resume(p)
+	n := f.node[level]
+	c, half := f.center[level], f.half[level]
+	lo, hi := f.lo[level], f.hi[level]
 	changed := false
 	for level < o.depth {
 		if n.children == nil {
@@ -302,6 +321,7 @@ func (o *Octree) updateLeaf(p geom.Vec3, delta float32) (float32, bool) {
 					nv = logOddsMin
 				}
 				if nv == n.logOdds {
+					f.n = level + 1
 					return n.logOdds, true
 				}
 			}
@@ -317,25 +337,42 @@ func (o *Octree) updateLeaf(p geom.Vec3, delta float32) (float32, bool) {
 				}
 			}
 		}
-		stack[level] = n
 		half /= 2
 		idx := 0
 		if p.X >= c.X {
 			idx |= 1
+			if c.X > lo.X {
+				lo.X = c.X
+			}
 			c.X += half
 		} else {
+			if c.X < hi.X {
+				hi.X = c.X
+			}
 			c.X -= half
 		}
 		if p.Y >= c.Y {
 			idx |= 2
+			if c.Y > lo.Y {
+				lo.Y = c.Y
+			}
 			c.Y += half
 		} else {
+			if c.Y < hi.Y {
+				hi.Y = c.Y
+			}
 			c.Y -= half
 		}
 		if p.Z >= c.Z {
 			idx |= 4
+			if c.Z > lo.Z {
+				lo.Z = c.Z
+			}
 			c.Z += half
 		} else {
+			if c.Z < hi.Z {
+				hi.Z = c.Z
+			}
 			c.Z -= half
 		}
 		child := n.children[idx]
@@ -348,7 +385,10 @@ func (o *Octree) updateLeaf(p geom.Vec3, delta float32) (float32, bool) {
 		}
 		n = child
 		level++
+		f.node[level], f.center[level], f.half[level] = n, c, half
+		f.lo[level], f.hi[level] = lo, hi
 	}
+	f.n = level + 1
 	wasObs, wasLo := n.observed, n.logOdds
 	n.observed = true
 	n.logOdds += delta
@@ -358,26 +398,29 @@ func (o *Octree) updateLeaf(p geom.Vec3, delta float32) (float32, bool) {
 	if n.logOdds < logOddsMin {
 		n.logOdds = logOddsMin
 	}
+	v := n.logOdds
 	if changed || !wasObs || n.logOdds != wasLo {
-		for l := level - 1; l >= 0; l-- {
-			o.tryPrune(stack[l])
+		// A prune frees the nodes below the pruned one: cut the finger
+		// back so the next descent never resumes from a recycled node.
+		for l := level - 1; l >= 0 && o.tryPrune(f.node[l]); l-- {
+			f.n = l + 1
 		}
 	}
-	return n.logOdds, true
+	return v, true
 }
 
 // tryPrune collapses n's children into n when all eight exist, are leaves,
 // and share identical state, recycling the freed nodes and block. This is
-// OctoMap's compression step.
-func (o *Octree) tryPrune(n *octNode) {
+// OctoMap's compression step. It reports whether n was pruned.
+func (o *Octree) tryPrune(n *octNode) bool {
 	first := n.children[0]
 	if first == nil || first.children != nil {
-		return
+		return false
 	}
 	for _, ch := range n.children[1:] {
 		if ch == nil || ch.children != nil ||
 			ch.logOdds != first.logOdds || ch.observed != first.observed {
-			return
+			return false
 		}
 	}
 	n.logOdds = first.logOdds
@@ -390,6 +433,7 @@ func (o *Octree) tryPrune(n *octNode) {
 	n.children = nil
 	o.nodes -= 8
 	o.childArrays--
+	return true
 }
 
 // Resolution implements Map.

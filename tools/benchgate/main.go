@@ -2,16 +2,17 @@
 // output of the benchmark smoke step and fails when the performance
 // layer's allocation guarantees rot.
 //
-//	go run ./tools/benchgate -bench bench-smoke.txt -baseline BENCH_3.json
+//	go run ./tools/benchgate -bench bench-smoke.txt -baseline BENCH_6.json
 //
 // Two classes of gate:
 //
-//   - The zero-alloc capture paths (Render, DepthCapture, Raycast,
-//     GroundHeight) must report 0 allocs/op. These paths were driven to
-//     zero steady-state allocations in the PR 2 overhaul; any non-zero
-//     reading means a buffer started escaping again. (The smoke step runs
-//     them for enough iterations that one-time warm-up buffer growth
-//     amortizes to zero.)
+//   - The zero-alloc paths must report 0 allocs/op: the capture paths
+//     (Render, DepthCapture, Raycast, GroundHeight) and the occupancy-map
+//     paths (InsertCloud and Blocked on the octree and the local grid, each
+//     replaying a fixed capture sequence into a saturated map). Any
+//     non-zero reading means a buffer started escaping again. (The smoke
+//     step runs them for enough iterations that one-time warm-up buffer
+//     growth amortizes to zero.)
 //
 //   - The closed-loop mission units — BenchmarkRun (inline runner),
 //     BenchmarkRunPipelined (staged perception runner) and BenchmarkRunFast
@@ -49,13 +50,17 @@ import (
 	"strings"
 )
 
-// zeroAllocBenchmarks are the capture paths the perf layer holds at zero
-// steady-state allocations.
+// zeroAllocBenchmarks are the capture and map paths the perf layer holds
+// at zero steady-state allocations.
 var zeroAllocBenchmarks = []string{
 	"BenchmarkRender",
 	"BenchmarkDepthCapture",
 	"BenchmarkRaycast",
 	"BenchmarkGroundHeight",
+	"BenchmarkInsertCloud/Octree",
+	"BenchmarkInsertCloud/LocalGrid",
+	"BenchmarkBlocked/Octree",
+	"BenchmarkBlocked/LocalGrid",
 }
 
 // gatedBenchmarks are the closed-loop units gated against the snapshot.
@@ -114,7 +119,7 @@ type baseline struct {
 
 func main() {
 	benchPath := flag.String("bench", "bench-smoke.txt", "go test -bench output to gate")
-	basePath := flag.String("baseline", "BENCH_3.json", "committed benchmark snapshot")
+	basePath := flag.String("baseline", "BENCH_6.json", "committed benchmark snapshot")
 	maxRegress := flag.Float64("max-regress", 0.10, "allowed fractional allocs/op regression for BenchmarkRun")
 	minFastSpeedup := flag.Float64("min-fast-speedup", 1.8, "required BenchmarkRun/BenchmarkRunFast ns/op ratio (0 disables the gate)")
 	flag.Parse()

@@ -25,6 +25,10 @@ BenchmarkRender-4              1000       408527 ns/op       524 B/op       0 al
 BenchmarkDepthCapture-4        1000        30587 ns/op        58 B/op       0 allocs/op
 BenchmarkRaycast-4             1000          121.3 ns/op       0 B/op       0 allocs/op
 BenchmarkGroundHeight-4        1000           12.65 ns/op      0 B/op       0 allocs/op
+BenchmarkInsertCloud/Octree-4           1000    405120 ns/op     0 B/op       0 allocs/op
+BenchmarkInsertCloud/LocalGrid-4        1000    190575 ns/op     0 B/op       0 allocs/op
+BenchmarkBlocked/Octree-4               1000     15429 ns/op     0 B/op       0 allocs/op
+BenchmarkBlocked/LocalGrid-4            1000     14694 ns/op     0 B/op       0 allocs/op
 PASS
 ok  	repro	42.000s
 `
@@ -305,6 +309,30 @@ func TestGateFailsNonZeroCapturePath(t *testing.T) {
 	}
 	if !strings.Contains(out, "BenchmarkRender") {
 		t.Errorf("violation does not name the regressed capture path:\n%s", out)
+	}
+}
+
+// TestGateCoversMapPaths pins the occupancy-map entries: an allocating
+// InsertCloud or Blocked fails, and so does a sub-benchmark dropped from
+// the smoke run.
+func TestGateCoversMapPaths(t *testing.T) {
+	for _, c := range []struct{ line, name string }{
+		{"BenchmarkInsertCloud/Octree-4           1000    405120 ns/op     0 B/op       0 allocs/op", "BenchmarkInsertCloud/Octree"},
+		{"BenchmarkInsertCloud/LocalGrid-4        1000    190575 ns/op     0 B/op       0 allocs/op", "BenchmarkInsertCloud/LocalGrid"},
+		{"BenchmarkBlocked/Octree-4               1000     15429 ns/op     0 B/op       0 allocs/op", "BenchmarkBlocked/Octree"},
+		{"BenchmarkBlocked/LocalGrid-4            1000     14694 ns/op     0 B/op       0 allocs/op", "BenchmarkBlocked/LocalGrid"},
+	} {
+		if !strings.Contains(goodBench, c.line) {
+			t.Fatalf("fixture drifted: %s line not found", c.name)
+		}
+		allocating := strings.Replace(goodBench, c.line, strings.Replace(c.line, " 0 allocs/op", " 2 allocs/op", 1), 1)
+		if err, out := gate(t, allocating, baselineJSON, 0.10); err == nil || !strings.Contains(out, c.name+": 2 allocs/op") {
+			t.Errorf("allocating %s passed the gate or went unnamed:\n%s", c.name, out)
+		}
+		missing := strings.Replace(goodBench, c.line+"\n", "", 1)
+		if err, out := gate(t, missing, baselineJSON, 0.10); err == nil || !strings.Contains(out, c.name+": missing") {
+			t.Errorf("missing %s passed the gate or went unnamed:\n%s", c.name, out)
+		}
 	}
 }
 
