@@ -12,7 +12,7 @@
 // binary on every machine can serve or join anything; the bench tools'
 // own -serve/-join flags are the same machinery.
 //
-// The merged campaign persists with -out as a standard shard-result file,
+// The merged campaign persists with -out as the campaign result file,
 // readable by `<tool> -merge`. Progress is live on GET /v1/status.
 package main
 

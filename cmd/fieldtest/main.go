@@ -53,22 +53,7 @@ func main() {
 	}
 
 	if cf.Merge {
-		agg := cliutil.Merge("fieldtest", "flights", flag.Args())[core.V3]
-		if agg == nil {
-			cliutil.Fatal("fieldtest", 1, fmt.Errorf("merged shards carry no MLS-V3 aggregate"))
-		}
-		fmt.Printf("success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights\n",
-			agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs)
-		fmt.Printf("mean landing error %.2f m, FNR %.2f%%\n", agg.MeanLandingError, 100*agg.FalseNegativeRate)
-		if row := agg.FleetString(); row != "" {
-			fmt.Println("\nAirspace deconfliction (fleet campaign)")
-			fmt.Println(row)
-		}
-		if row := agg.DependabilityString(); row != "" {
-			fmt.Println("\nDependability (fault campaign)")
-			fmt.Println(row)
-		}
-		fmt.Println("(per-flight drift and resource series live on the machines that executed each shard)")
+		printAggregates(cliutil.Merge("fieldtest", "flights", flag.Args()))
 		return
 	}
 	if cf.Join != "" {
@@ -112,14 +97,7 @@ func main() {
 	// Fleet mode: workers resolve the "field" profile to the same weather
 	// floors and fault rates the configure hook applies locally.
 	if aggs, handled := cf.Distributed("fieldtest", spec, c.Profile()); handled {
-		if agg := aggs[core.V3]; agg != nil {
-			a := *agg
-			a.System = "MLS-V3-field"
-			fmt.Printf("success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights\n",
-				a.SuccessRate(), a.CollisionRate(), a.PoorLandingRate(), a.Runs)
-			fmt.Printf("mean landing error %.2f m, FNR %.2f%%\n", a.MeanLandingError, 100*a.FalseNegativeRate)
-			fmt.Println("(per-flight drift and resource series live on the worker machines)")
-		}
+		printAggregates(aggs)
 		dumpMetrics(cf)
 		return
 	}
@@ -192,13 +170,8 @@ func main() {
 		fmt.Printf("  mean CPU %.0f%% aggregate, mean RAM %.2f GB (Fig. 7: above HIL's)\n",
 			meanCPU/float64(count), meanMem/float64(count)/1000)
 	}
-	if row := agg.FleetString(); row != "" {
-		fmt.Println("\nAirspace deconfliction (fleet campaign)")
-		fmt.Println(row)
-	}
-	if row := agg.DependabilityString(); row != "" {
-		fmt.Println("\nDependability (fault campaign)")
-		fmt.Println(row)
+	printFleetAndDependability(agg)
+	if agg.DependabilityString() != "" {
 		for _, mon := range mons {
 			if mon != nil && len(mon.FaultEvents()) > 0 {
 				fmt.Println("fault timeline of the first monitored flight:")
@@ -239,6 +212,34 @@ func main() {
 		fmt.Printf("\nFig. 7 series written to %s\n", *csvPath)
 	}
 	dumpMetrics(cf)
+}
+
+// printAggregates is the report of -serve and -merge: every row the
+// campaign's MLS-V3 aggregate holds. Per-flight drift and resource series
+// are not among them; they exist only in the process that flew the runs.
+func printAggregates(aggs map[core.Generation]*scenario.Aggregate) {
+	agg := aggs[core.V3]
+	if agg == nil {
+		cliutil.Fatal("fieldtest", 1, fmt.Errorf("the campaign carries no MLS-V3 aggregate"))
+	}
+	fmt.Printf("success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights\n",
+		agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs)
+	fmt.Printf("mean landing error %.2f m, FNR %.2f%%\n", agg.MeanLandingError, 100*agg.FalseNegativeRate)
+	printFleetAndDependability(*agg)
+	fmt.Println("(per-flight drift and resource series live on the machines that executed each shard)")
+}
+
+// printFleetAndDependability prints the airspace and fault-campaign rows;
+// each is silent when its knob is off.
+func printFleetAndDependability(agg scenario.Aggregate) {
+	if row := agg.FleetString(); row != "" {
+		fmt.Println("\nAirspace deconfliction (fleet campaign)")
+		fmt.Println(row)
+	}
+	if row := agg.DependabilityString(); row != "" {
+		fmt.Println("\nDependability (fault campaign)")
+		fmt.Println(row)
+	}
 }
 
 // dumpMetrics honors -metrics on the way out.

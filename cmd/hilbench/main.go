@@ -14,9 +14,9 @@
 // collected exactly as in the sequential loop.
 //
 // Campaigns at scale: -checkpoint journals finished runs for crash-safe
-// resume; -shard i/n + -out run and persist one slice of the grid for
-// distributed execution (the custom HIL seed derivation ships inside the
-// shard, by value); -merge recombines shard files in any order. Outcome
+// resume; -serve coordinates the campaign across -join workers (the custom
+// HIL seed derivation ships inside each lease, by value) and -serve -out
+// persists the merged result for -merge to print again. Outcome
 // aggregates are bit-identical to one uninterrupted run in all cases;
 // resource series exist only for runs executed in this process.
 package main
@@ -51,23 +51,7 @@ func main() {
 	}
 
 	if cf.Merge {
-		agg := cliutil.Merge("hilbench", "runs", flag.Args())[core.V3]
-		if agg == nil {
-			cliutil.Fatal("hilbench", 1, fmt.Errorf("merged shards carry no MLS-V3 aggregate"))
-		}
-		fmt.Println()
-		printTableIII(*agg)
-		if row := agg.FleetString(); row != "" {
-			fmt.Println("\nAirspace deconfliction (fleet campaign)")
-			fmt.Println(row)
-		}
-		if row := agg.DependabilityString(); row != "" {
-			fmt.Println("\nDependability (fault campaign)")
-			fmt.Println(row)
-		}
-		fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
-			100*agg.FalseNegativeRate, agg.MeanLandingError)
-		fmt.Println("(resource series live on the machines that executed each shard)")
+		printAggregates(cliutil.Merge("hilbench", "runs", flag.Args()))
 		return
 	}
 	if cf.Join != "" {
@@ -120,10 +104,7 @@ func main() {
 	// Fleet mode: workers resolve the campaign's profile name to the same
 	// replan/guard cadences this process would apply locally.
 	if aggs, handled := cf.Distributed("hilbench", spec, c.Profile()); handled {
-		if agg := aggs[core.V3]; agg != nil {
-			printTableIII(*agg)
-			fmt.Println("(resource series live on the worker machines)")
-		}
+		printAggregates(aggs)
 		dumpMetrics(cf)
 		return
 	}
@@ -189,13 +170,8 @@ func main() {
 	}
 	fmt.Printf("aggregate digest: %s\n\n", report.Digest())
 	printTableIII(agg)
-	if row := agg.FleetString(); row != "" {
-		fmt.Println("\nAirspace deconfliction (fleet campaign)")
-		fmt.Println(row)
-	}
-	if row := agg.DependabilityString(); row != "" {
-		fmt.Println("\nDependability (fault campaign)")
-		fmt.Println(row)
+	printFleetAndDependability(agg)
+	if agg.DependabilityString() != "" {
 		for _, mon := range mons {
 			if mon != nil && len(mon.FaultEvents()) > 0 {
 				fmt.Println("fault timeline of the first monitored run:")
@@ -240,9 +216,38 @@ func dumpMetrics(cf *cliutil.CampaignFlags) {
 	}
 }
 
+// printAggregates is the report of -serve and -merge: every row the
+// campaign's MLS-V3 aggregate holds. Resource series are not among them;
+// they exist only in the process that flew the runs.
+func printAggregates(aggs map[core.Generation]*scenario.Aggregate) {
+	agg := aggs[core.V3]
+	if agg == nil {
+		cliutil.Fatal("hilbench", 1, fmt.Errorf("the campaign carries no MLS-V3 aggregate"))
+	}
+	fmt.Println()
+	printTableIII(*agg)
+	printFleetAndDependability(*agg)
+	fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
+		100*agg.FalseNegativeRate, agg.MeanLandingError)
+	fmt.Println("(resource series live on the machines that executed each shard)")
+}
+
 func printTableIII(agg scenario.Aggregate) {
 	fmt.Println("Table III — Experiment Results of HIL Testing")
 	fmt.Printf("%-10s %-22s %-26s %-26s\n", "System", "Successful Landing", "Failure (Collision)", "Failure (Poor Landing)")
 	fmt.Printf("%-10s %20.2f%% %24.2f%% %24.2f%%\n",
 		agg.System, agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate())
+}
+
+// printFleetAndDependability prints the airspace and fault-campaign rows;
+// each is silent when its knob is off.
+func printFleetAndDependability(agg scenario.Aggregate) {
+	if row := agg.FleetString(); row != "" {
+		fmt.Println("\nAirspace deconfliction (fleet campaign)")
+		fmt.Println(row)
+	}
+	if row := agg.DependabilityString(); row != "" {
+		fmt.Println("\nDependability (fault campaign)")
+		fmt.Println(row)
+	}
 }

@@ -11,17 +11,18 @@
 // reproduces the sequential tables bit for bit.
 //
 // Campaigns at scale: -checkpoint makes the sweep crash-safe (Ctrl-C it,
-// rerun the same command, it resumes where it stopped); -shard i/n runs
-// one contiguous slice of the grid and -out persists its aggregates, so n
-// machines can split the campaign; -merge recombines the shard files in
-// any order. All three paths are bit-identical to one uninterrupted run —
-// compare the printed aggregate digests.
+// rerun the same command, it resumes where it stopped); -serve turns the
+// tool into the campaign's coordinator and -join into one of its workers,
+// so any number of machines can split the campaign; -serve -out persists
+// the merged result and -merge prints its tables again. Every path is
+// bit-identical to one uninterrupted run — compare the printed aggregate
+// digests.
 //
 // Dependability campaigns: -faults applies a fault-injection plan (a
 // preset name or an internal/fault spec string) to every run — the sweep
 // becomes a degraded-conditions benchmark with time-to-recover, abort
 // causes and degraded-mode exposure next to the Table I rates. Plans ride
-// the campaign's Timing, so checkpoints and shards bind to them and a
+// the campaign's Timing, so checkpoints and leases bind to them and a
 // fault campaign stays bit-identical across workers, resume and merges.
 // -fault-sweep runs the whole grid once nominal and once per preset and
 // prints the dependability comparison table.
@@ -30,7 +31,7 @@
 // with inter-drone sensing (see docs/fleet.md) and adds the airspace
 // deconfliction rows (near misses, separation violations, throughput per
 // km²) under the tables. The spec rides Timing like the other knobs, so
-// fleet campaigns shard, checkpoint and distribute unchanged.
+// fleet campaigns checkpoint and distribute unchanged.
 // -fleet-sweep runs the grid across fleet-size x density x fault-plan
 // configurations and prints the airspace comparison table.
 //
@@ -44,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/catalog"
@@ -82,11 +82,7 @@ func main() {
 
 	if cf.Merge {
 		merged := cliutil.Merge("silbench", "runs", flag.Args())
-		gens := make([]core.Generation, 0, len(merged))
-		for gen := range merged {
-			gens = append(gens, gen)
-		}
-		sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+		gens := []core.Generation{core.V1, core.V2, core.V3} // the printers skip absent rows
 		printTables(gens, merged)
 		printDependability(gens, merged)
 		printFleet(gens, merged)
@@ -109,7 +105,7 @@ func main() {
 	}
 	knobs.PipelineLag = *pipelineLag
 	// Pipeline, fast, fault plan and fleet all ride the spec's Timing, so
-	// checkpoints and shards bind to them; "-fleet 1" and an empty plan
+	// checkpoints and leases bind to them; "-fleet 1" and an empty plan
 	// digest exactly like no flag at all. Fast digests are only comparable
 	// to other fast digests (see -verify-fast).
 	spec, err := catalog.SIL.Spec(catalog.Grid{
@@ -121,8 +117,8 @@ func main() {
 	selected, plan, fleet := spec.Generations, spec.Timing.Faults, spec.Timing.Fleet
 
 	if *fleetSweep {
-		if cf.Shard != "" || cf.Checkpoint != "" || plan.Active() || fleet.Active() {
-			fmt.Fprintln(os.Stderr, "silbench: -fleet-sweep runs its own campaigns; drop -shard/-checkpoint/-faults/-fleet")
+		if cf.Checkpoint != "" || plan.Active() || fleet.Active() {
+			fmt.Fprintln(os.Stderr, "silbench: -fleet-sweep runs its own campaigns; drop -checkpoint/-faults/-fleet")
 			os.Exit(2)
 		}
 		fleetSweepMain(spec, selected, cf.Workers)
@@ -130,8 +126,8 @@ func main() {
 	}
 
 	if *faultSweep {
-		if cf.Shard != "" || cf.Checkpoint != "" || plan.Active() {
-			fmt.Fprintln(os.Stderr, "silbench: -fault-sweep runs its own campaigns; drop -shard/-checkpoint/-faults")
+		if cf.Checkpoint != "" || plan.Active() {
+			fmt.Fprintln(os.Stderr, "silbench: -fault-sweep runs its own campaigns; drop -checkpoint/-faults")
 			os.Exit(2)
 		}
 		faultSweepMain(spec, selected, cf.Workers)
@@ -139,8 +135,8 @@ func main() {
 	}
 
 	if sf.Active() {
-		if cf.Shard != "" || cf.Checkpoint != "" || plan.Active() {
-			fmt.Fprintln(os.Stderr, "silbench: -fault-search composes its own probe plans; drop -shard/-checkpoint/-faults")
+		if cf.Checkpoint != "" || plan.Active() {
+			fmt.Fprintln(os.Stderr, "silbench: -fault-search composes its own probe plans; drop -checkpoint/-faults")
 			os.Exit(2)
 		}
 		// The search flies one cell under the selected timing profile
@@ -177,11 +173,7 @@ func main() {
 	if fleet.Active() {
 		fmt.Printf("fleet: %d drones per run (spawn spacing %g m)\n", fleet.Size, fleetSpacing(fleet))
 	}
-
-	// A shard prints its range banner instead of the blank line.
-	if cf.Shard == "" {
-		fmt.Println()
-	}
+	fmt.Println()
 
 	// Ordered delivery keeps -v output in the exact sequential order.
 	opts := cf.Options("silbench")
@@ -208,7 +200,7 @@ func main() {
 	}
 	fmt.Printf("aggregate digest: %s\n", report.Digest())
 
-	// Rows print in -systems order (a shard may cover only some of them).
+	// Rows print in -systems order.
 	printTables(selected, report.Aggregates)
 	printDependability(selected, report.Aggregates)
 	printFleet(selected, report.Aggregates)
@@ -411,8 +403,7 @@ func printDependability(gens []core.Generation, aggs map[core.Generation]*scenar
 }
 
 // printTables renders Table I / Table II / auxiliary rows in the given
-// generation order, skipping generations with no aggregate (a shard may
-// cover only part of the -systems selection).
+// generation order, skipping generations with no aggregate.
 func printTables(gens []core.Generation, aggs map[core.Generation]*scenario.Aggregate) {
 	rows := make([]scenario.Aggregate, 0, len(gens))
 	for _, gen := range gens {

@@ -12,7 +12,8 @@
 // profile, every stochastic fault effect draws from its own per-concern
 // RNG stream, and the printed digest is bit-identical for any -workers
 // value (try it). Interrupted fault campaigns resume from checkpoints and
-// shard across machines exactly like nominal ones — see cmd/silbench.
+// split across machines through -serve/-join exactly like nominal ones —
+// see cmd/silbench.
 //
 //	go run ./examples/faultlab
 //	go run ./examples/faultlab -quick        # reduced grid (CI smoke)
@@ -127,7 +128,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nEvery digest above is bit-identical for any -workers value, any")
-	fmt.Println("checkpoint resume, and any shard-merge order: a fault campaign is a")
+	fmt.Println("checkpoint resume, and any -serve/-join split: a fault campaign is a")
 	fmt.Println("pure function of (seed, plan). The bench tools take the same plans")
 	fmt.Println("via -faults; silbench -fault-sweep prints this grid over all presets.")
 }

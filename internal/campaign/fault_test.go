@@ -126,9 +126,9 @@ func TestFaultCampaignResumeAfterCancel(t *testing.T) {
 	}
 }
 
-// TestFaultCampaignShardMergeShuffled: shards of a fault campaign executed
-// independently and merged in shuffled arrival order reproduce the
-// uninterrupted campaign's aggregate digest.
+// TestFaultCampaignShardMergeShuffled: slices of a fault campaign flown
+// independently from the lease wire format and merged in shuffled arrival
+// order reproduce the uninterrupted campaign's aggregate digest.
 func TestFaultCampaignShardMergeShuffled(t *testing.T) {
 	spec := faultSpec()
 	ref, err := Execute(context.Background(), spec, Options{})
@@ -136,45 +136,19 @@ func TestFaultCampaignShardMergeShuffled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shards, err := spec.Shards(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make([]*ShardResult, len(shards))
-	for i, sh := range shards {
-		sub, err := sh.ToSpec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sub.Timing.Faults.Active() {
-			t.Fatalf("shard %d lost the fault plan", i)
-		}
-		rep, err := Execute(context.Background(), sub, Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outcomes[i] = sh.Result(rep)
-	}
+	uploads := flySlices(t, spec, 3, Options{Workers: 2})
 	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
-		shuffled := make([]*ShardResult, len(order))
-		for i, k := range order {
-			shuffled[i] = outcomes[k]
-		}
-		merged, err := MergeShards(shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := AggregatesDigest(merged); got != ref.Digest() {
-			t.Fatalf("shuffled shard merge %v digest %s != uninterrupted %s", order, got, ref.Digest())
+		if got := mergeSlices(t, spec, uploads, order); got != ref.Digest() {
+			t.Fatalf("shuffled merge %v digest %s != uninterrupted %s", order, got, ref.Digest())
 		}
 	}
 }
 
 // TestFaultPlanTravelsTheWireFormats pins the binding guarantees: the
 // fault plan is part of the Spec signature (journals refuse to resume a
-// campaign whose plan changed), it ships inside shard files by value, and
-// a nil plan stays out of Timing's encoding entirely so pre-fault journals
-// and shards still match their signatures.
+// campaign whose plan changed), it ships inside leases by value, and a
+// nil plan stays out of Timing's encoding entirely so pre-fault journals
+// and result files still match their signatures.
 func TestFaultPlanTravelsTheWireFormats(t *testing.T) {
 	faulted := faultSpec()
 	nominal := faulted
@@ -205,25 +179,10 @@ func TestFaultPlanTravelsTheWireFormats(t *testing.T) {
 		t.Fatal("two different fault plans share a signature")
 	}
 
-	// The plan survives the shard wire format (JSON round trip included).
-	shards, err := faulted.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(shards[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Shard
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := decoded.ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The plan survives the lease wire format (JSON round trip included).
+	sub, _ := shipRuns(t, leaseRanges(t, faulted, 2)[1], faulted.Timing)
 	if !sub.Timing.Faults.Active() || len(sub.Timing.Faults.Faults) != len(faulted.Timing.Faults.Faults) {
-		t.Fatalf("shard wire format lost the fault plan: %+v", sub.Timing)
+		t.Fatalf("lease wire format lost the fault plan: %+v", sub.Timing)
 	}
 
 	// Journal binding: a journal for the faulted campaign refuses the
@@ -251,7 +210,7 @@ func TestFaultPlanTravelsTheWireFormats(t *testing.T) {
 
 	// An empty non-nil plan runs bit-identically to a nil one, so it must
 	// sign identically too (Timing.Canonical normalizes it away) — both
-	// in signatures and in shard files.
+	// in signatures and in leases.
 	emptied := nominal
 	emptiedTiming := nominal.Timing
 	emptiedTiming.Faults = &fault.Plan{}
@@ -263,11 +222,7 @@ func TestFaultPlanTravelsTheWireFormats(t *testing.T) {
 	if sigE != sigN {
 		t.Fatal("empty (non-nil) fault plan signs differently from nil — journals would refuse an equivalent resume")
 	}
-	eShards, err := emptied.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eShards[0].Timing.Faults != nil {
-		t.Fatal("empty fault plan not normalized out of the shard wire format")
+	if sub, _ := shipRuns(t, leaseRanges(t, emptied, 2)[0], emptied.Timing); sub.Timing.Faults != nil {
+		t.Fatal("empty fault plan not normalized out of the lease wire format")
 	}
 }

@@ -206,9 +206,9 @@ func TestFleetCampaignResumeAfterCancel(t *testing.T) {
 	}
 }
 
-// TestFleetCampaignShardMergeShuffled: shards of a fleet campaign
-// executed independently and merged in shuffled arrival order reproduce
-// the uninterrupted campaign's aggregate digest.
+// TestFleetCampaignShardMergeShuffled: slices of a fleet campaign flown
+// independently from the lease wire format and merged in shuffled arrival
+// order reproduce the uninterrupted campaign's aggregate digest.
 func TestFleetCampaignShardMergeShuffled(t *testing.T) {
 	spec := fleetSpec()
 	ref, err := fleetRef()
@@ -216,45 +216,19 @@ func TestFleetCampaignShardMergeShuffled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shards, err := spec.Shards(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make([]*ShardResult, len(shards))
-	for i, sh := range shards {
-		sub, err := sh.ToSpec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sub.Timing.Fleet.Active() {
-			t.Fatalf("shard %d lost the fleet spec", i)
-		}
-		rep, err := Execute(context.Background(), sub, Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outcomes[i] = sh.Result(rep)
-	}
+	uploads := flySlices(t, spec, 3, Options{Workers: 2})
 	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
-		shuffled := make([]*ShardResult, len(order))
-		for i, k := range order {
-			shuffled[i] = outcomes[k]
-		}
-		merged, err := MergeShards(shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := AggregatesDigest(merged); got != ref.Digest() {
-			t.Fatalf("shuffled shard merge %v digest %s != uninterrupted %s", order, got, ref.Digest())
+		if got := mergeSlices(t, spec, uploads, order); got != ref.Digest() {
+			t.Fatalf("shuffled merge %v digest %s != uninterrupted %s", order, got, ref.Digest())
 		}
 	}
 }
 
 // TestFleetSpecTravelsTheWireFormats pins the binding guarantees: the
 // fleet spec is part of the Spec signature (journals refuse to resume a
-// campaign whose fleet changed), it ships inside shard files by value,
-// and a nil or single-drone spec stays out of Timing's encoding entirely
-// so pre-fleet journals and shards still match their signatures.
+// campaign whose fleet changed), it ships inside leases by value, and a
+// nil or single-drone spec stays out of Timing's encoding entirely so
+// pre-fleet journals and result files still match their signatures.
 func TestFleetSpecTravelsTheWireFormats(t *testing.T) {
 	fleet := fleetSpec()
 	solo := fleet
@@ -285,25 +259,10 @@ func TestFleetSpecTravelsTheWireFormats(t *testing.T) {
 		t.Fatal("two different fleet specs share a signature")
 	}
 
-	// The spec survives the shard wire format (JSON round trip included).
-	shards, err := fleet.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(shards[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Shard
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := decoded.ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The spec survives the lease wire format (JSON round trip included).
+	sub, _ := shipRuns(t, leaseRanges(t, fleet, 2)[1], fleet.Timing)
 	if !sub.Timing.Fleet.Active() || sub.Timing.Fleet.Size != 3 || sub.Timing.Fleet.Spacing != 5 {
-		t.Fatalf("shard wire format lost the fleet spec: %+v", sub.Timing)
+		t.Fatalf("lease wire format lost the fleet spec: %+v", sub.Timing)
 	}
 
 	// Journal binding: a journal for the fleet campaign refuses the solo
@@ -331,7 +290,7 @@ func TestFleetSpecTravelsTheWireFormats(t *testing.T) {
 
 	// A single-drone (non-nil) fleet runs bit-identically to no fleet, so
 	// it must sign identically too (Timing.Canonical normalizes it away) —
-	// both in signatures and in shard files.
+	// both in signatures and in leases.
 	single := solo
 	singleTiming := solo.Timing
 	singleTiming.Fleet = &scenario.FleetSpec{Size: 1}
@@ -343,11 +302,7 @@ func TestFleetSpecTravelsTheWireFormats(t *testing.T) {
 	if sig1 != sigS {
 		t.Fatal("single-drone fleet spec signs differently from nil — journals would refuse an equivalent resume")
 	}
-	sShards, err := single.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sShards[0].Timing.Fleet != nil {
-		t.Fatal("single-drone fleet spec not normalized out of the shard wire format")
+	if sub, _ := shipRuns(t, leaseRanges(t, single, 2)[0], single.Timing); sub.Timing.Fleet != nil {
+		t.Fatal("single-drone fleet spec not normalized out of the lease wire format")
 	}
 }

@@ -119,8 +119,8 @@ func TestPipelinedCampaignDeterministic(t *testing.T) {
 }
 
 // TestPipelineTravelsTheWireFormats pins the tentpole's distribution
-// guarantee: the pipeline knob rides Timing through the shard wire format
-// and the checkpoint-journal signature, so a shard executes with the same
+// guarantee: the pipeline knob rides Timing through the lease wire format
+// and the checkpoint-journal signature, so a lease executes with the same
 // runner configuration as its campaign and a journal refuses to resume a
 // campaign whose pipeline setting changed.
 func TestPipelineTravelsTheWireFormats(t *testing.T) {
@@ -135,16 +135,9 @@ func TestPipelineTravelsTheWireFormats(t *testing.T) {
 		Timing:      timing,
 	}
 
-	shards, err := spec.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := shards[1].ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub, _ := shipRuns(t, leaseRanges(t, spec, 2)[1], spec.Timing)
 	if sub.Timing.Pipeline != scenario.PipelineOn || sub.Timing.PipelineLatencyTicks != 5 {
-		t.Fatalf("shard spec lost the pipeline profile: %+v", sub.Timing)
+		t.Fatalf("lease spec lost the pipeline profile: %+v", sub.Timing)
 	}
 
 	off := spec
@@ -175,7 +168,7 @@ func TestPipelineTravelsTheWireFormats(t *testing.T) {
 	}
 
 	// Backward compatibility: the zero (PipelineOff) knobs must stay out
-	// of Timing's JSON entirely, so journals and shard files recorded
+	// of Timing's JSON entirely, so journals and result files recorded
 	// before the pipeline existed keep matching their campaign signature.
 	b, err := json.Marshal(off.Timing)
 	if err != nil {

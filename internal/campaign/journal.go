@@ -61,7 +61,7 @@ type Journal struct {
 	completed map[int]scenario.Result
 }
 
-// Signature returns a hex digest binding a journal (or a shard result) to
+// Signature returns a hex digest binding a journal (or a result file) to
 // one exact campaign: the resolved run list — cells, canonical order, and
 // per-run seeds, so a custom Spec.Seed is captured by value — plus the
 // timing profile. Configure is a function and cannot be hashed, so it is

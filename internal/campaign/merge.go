@@ -10,18 +10,17 @@ import (
 
 // Digest-verified merge for at-least-once result streams.
 //
-// The file-based shard flow (shard.go) merges whole ShardResults whose
-// ranges tile the campaign exactly once. A live coordinator cannot assume
-// either property: leases expire and get re-dispatched, slow workers
-// upload results for runs another worker already finished, and a flaky
-// worker may upload garbage. Merger is the aggregation core that makes
-// all of that safe — it folds individual RunEntry uploads (the checkpoint
-// journal's own line format, so workers stream journal entries verbatim)
-// into per-generation aggregates exactly once per run, verifying every
-// entry's digest on the way in. Because aggregation is exact and
-// order-independent, the merged rows are bit-identical to an
-// uninterrupted single-machine run of the same Spec, whatever the
-// interleaving of workers, re-dispatches and duplicate uploads.
+// A live coordinator cannot assume that each run arrives exactly once:
+// leases expire and get re-dispatched, slow workers upload results for
+// runs another worker already finished, and a flaky worker may upload
+// garbage. Merger is the aggregation core that makes all of that safe —
+// it folds individual RunEntry uploads (the checkpoint journal's own line
+// format, so workers stream journal entries verbatim) into per-generation
+// aggregates exactly once per run, verifying every entry's digest on the
+// way in. Because aggregation is exact and order-independent, the merged
+// rows are bit-identical to an uninterrupted single-machine run of the
+// same Spec, whatever the interleaving of workers, re-dispatches and
+// duplicate uploads.
 
 // RunEntry is one finished run in wire/journal form: the run's canonical
 // index, the sha256 digest of its result, and the result itself encoded

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
@@ -16,102 +14,23 @@ import (
 
 // Distribution layer: a campaign Spec is already the wire format — worlds
 // regenerate deterministically from grid indices and seeds derive from
-// cells, so distributing a campaign means shipping cell ranges, not data.
+// cells, so distributing a campaign means shipping runs, not data.
 //
-// Spec.Shards(n) cuts the canonical run order into n contiguous ranges.
-// Each Shard is a self-contained JSON value (resolved cells, per-run
-// seeds, timing, and a signature binding it to the full campaign) that a
-// remote machine turns back into an executable Spec with ToSpec, runs
-// through Execute, and summarizes with Result. MergeShards recombines the
-// persisted ShardResults into the full campaign's aggregates — in any
-// arrival order, bit-identically to a single uninterrupted run, because
+// The coordinator (internal/coord) leases contiguous slices of the
+// canonical run order to pulling workers, and each worker turns a lease's
+// resolved runs back into an executable Spec with RunsSpec. Once every run
+// has merged, the coordinator persists the campaign's aggregates as one
+// ShardResult — the campaign result file that `-serve -out` writes and
+// `-merge` reads back, bit-identical to a single uninterrupted run because
 // aggregation is exact and order-independent.
 
-// Shard is one contiguous slice of a campaign, serializable as JSON.
-type Shard struct {
-	// Index identifies this shard (0-based) among Count shards.
-	Index int `json:"index"`
-	Count int `json:"count"`
-	// Start/End are the canonical run-index range [Start, End) this shard
-	// covers; Total is the full campaign's run count.
-	Start int `json:"start"`
-	End   int `json:"end"`
-	Total int `json:"total"`
-	// Sig is the full campaign's Spec.Signature; it binds shards of one
-	// campaign together and is checked again at merge time.
-	Sig string `json:"spec"`
-	// Timing is the deployment profile of every run.
-	Timing scenario.Timing `json:"timing"`
-	// Runs are the resolved runs of the range: cells plus the per-run
-	// seeds, so a custom Spec.Seed travels by value and the receiving
-	// machine needs no code for it. Run.Index keeps the canonical
-	// (full-campaign) index.
-	Runs []Run `json:"runs"`
-}
-
-// Shards partitions the campaign into n contiguous shards of near-equal
-// size (sizes differ by at most one run). Every run appears in exactly one
-// shard, in canonical order.
-func (s Spec) Shards(n int) ([]Shard, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("campaign: shard count %d, want >= 1", n)
-	}
-	runs, err := s.Runs()
-	if err != nil {
-		return nil, err
-	}
-	if n > len(runs) {
-		return nil, fmt.Errorf("campaign: %d shards for %d runs", n, len(runs))
-	}
-	sig, err := s.Signature()
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]Shard, n)
-	total := len(runs)
-	for i := 0; i < n; i++ {
-		// Balanced contiguous ranges: the first total%n shards get one
-		// extra run.
-		start := i*(total/n) + min(i, total%n)
-		end := start + total/n
-		if i < total%n {
-			end++
-		}
-		shards[i] = Shard{
-			Index:  i,
-			Count:  n,
-			Start:  start,
-			End:    end,
-			Total:  total,
-			Sig:    sig,
-			Timing: s.Timing.Canonical(),
-			Runs:   runs[start:end],
-		}
-	}
-	return shards, nil
-}
-
-// ToSpec reconstructs an executable Spec for the shard's range. Seeds are
-// restored from the shipped runs (not re-derived), so the shard executes
-// identically even when the originating Spec used a custom Seed function.
-// Attach Configure hooks to the returned Spec before Execute if the runs
-// need per-run instrumentation; hooks receive shard-local run indices
-// (add Shard.Start to recover canonical ones).
-func (sh Shard) ToSpec() (Spec, error) {
-	if len(sh.Runs) == 0 {
-		return Spec{}, fmt.Errorf("campaign: shard %d has no runs", sh.Index)
-	}
-	return RunsSpec(sh.Runs, sh.Timing), nil
-}
-
 // RunsSpec builds an executable sub-campaign Spec from resolved runs plus
-// a timing profile — the shared core of Shard.ToSpec and the coordinator
-// lease format. Seeds are restored from the runs by value (not
-// re-derived), so the sub-spec executes identically even when the
-// originating Spec used a custom Seed function. The runs' canonical
-// Index values are NOT preserved: the sub-spec re-enumerates from 0, and
-// callers that need canonical indices must map back through the run list
-// they passed in.
+// a timing profile — the coordinator lease format. Seeds are restored
+// from the runs by value (not re-derived), so the sub-spec executes
+// identically even when the originating Spec used a custom Seed function.
+// The runs' canonical Index values are NOT preserved: the sub-spec
+// re-enumerates from 0, and callers that need canonical indices must map
+// back through the run list they passed in.
 func RunsSpec(runs []Run, timing scenario.Timing) Spec {
 	cells := make([]Cell, len(runs))
 	seeds := make(map[Cell]int64, len(runs))
@@ -129,9 +48,10 @@ func RunsSpec(runs []Run, timing scenario.Timing) Spec {
 	}
 }
 
-// ShardResult is the persisted outcome of one executed shard — the other
-// half of the wire format. It carries the shard's merged aggregates plus
-// enough identity to validate a merge.
+// ShardResult is the campaign result file: a whole campaign's merged
+// per-generation aggregates plus the identity a reader checks. The range
+// fields describe the campaign as its one and only part — index 0 of
+// count 1, runs [0, total) — and ReadShardResult refuses any other range.
 type ShardResult struct {
 	Index int    `json:"index"`
 	Count int    `json:"count"`
@@ -139,84 +59,17 @@ type ShardResult struct {
 	End   int    `json:"end"`
 	Total int    `json:"total"`
 	Sig   string `json:"spec"`
-	// Aggregates holds the shard's per-generation rows with their exact
-	// accumulators (scenario's Aggregate codec), so merging decoded shards
-	// is bit-identical to merging live ones.
+	// Aggregates holds the per-generation rows with their exact
+	// accumulators (scenario's Aggregate codec), so a decoded row digests
+	// and prints bit-identically to the live one.
 	Aggregates map[core.Generation]*scenario.Aggregate `json:"aggregates"`
-}
-
-// Result summarizes an executed shard for persistence or shipping back to
-// the coordinator.
-func (sh Shard) Result(rep *Report) *ShardResult {
-	return &ShardResult{
-		Index:      sh.Index,
-		Count:      sh.Count,
-		Start:      sh.Start,
-		End:        sh.End,
-		Total:      sh.Total,
-		Sig:        sh.Sig,
-		Aggregates: rep.Aggregates,
-	}
-}
-
-// MergeShards recombines shard results into the full campaign's
-// per-generation aggregates. It validates that the shards belong to one
-// campaign, that each shard index appears exactly once, and that the
-// ranges tile [0, Total) completely. Arrival order is irrelevant: shards
-// are canonicalized by range, and exact aggregation makes the merged rows
-// bit-identical to an uninterrupted single-machine run (compare with
-// AggregatesDigest).
-func MergeShards(shards []*ShardResult) (map[core.Generation]*scenario.Aggregate, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("campaign: no shards to merge")
-	}
-	first := shards[0]
-	if len(shards) != first.Count {
-		return nil, fmt.Errorf("campaign: %d of %d shards present", len(shards), first.Count)
-	}
-	sorted := make([]*ShardResult, len(shards))
-	copy(sorted, shards)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-
-	next := 0
-	seen := make(map[int]bool)
-	for _, sh := range sorted {
-		if sh.Sig != first.Sig || sh.Count != first.Count || sh.Total != first.Total {
-			return nil, fmt.Errorf("campaign: shard %d belongs to a different campaign", sh.Index)
-		}
-		if seen[sh.Index] {
-			return nil, fmt.Errorf("campaign: shard %d appears twice", sh.Index)
-		}
-		seen[sh.Index] = true
-		if sh.Start != next || sh.End < sh.Start {
-			return nil, fmt.Errorf("campaign: shard ranges do not tile the campaign: got [%d,%d), want start %d",
-				sh.Start, sh.End, next)
-		}
-		next = sh.End
-	}
-	if next != first.Total {
-		return nil, fmt.Errorf("campaign: shards cover %d of %d runs", next, first.Total)
-	}
-
-	merged := make(map[core.Generation]*scenario.Aggregate)
-	for _, sh := range sorted {
-		for gen, agg := range sh.Aggregates {
-			m := merged[gen]
-			if m == nil {
-				m = scenario.NewAggregate(gen.String())
-				merged[gen] = m
-			}
-			m.Merge(*agg)
-		}
-	}
-	return merged, nil
 }
 
 // AggregatesDigest is the campaign-level identity check: the hex sha256
 // over the per-generation aggregate digests in ascending generation order.
 // Two campaigns over the same grid digest identically however they were
 // executed — sequentially, across any worker count, resumed from a
-// checkpoint, or merged from distributed shards.
+// checkpoint, or merged from a coordinator's leases.
 func AggregatesDigest(aggs map[core.Generation]*scenario.Aggregate) string {
 	gens := make([]core.Generation, 0, len(aggs))
 	for gen := range aggs {
@@ -233,8 +86,7 @@ func AggregatesDigest(aggs map[core.Generation]*scenario.Aggregate) string {
 // Digest returns the AggregatesDigest of the report's aggregate rows.
 func (r *Report) Digest() string { return AggregatesDigest(r.Aggregates) }
 
-// WriteShardResult persists one shard's outcome as an indented JSON file —
-// the artifact a worker machine ships back to the coordinator.
+// WriteShardResult persists a campaign result as an indented JSON file.
 func WriteShardResult(path string, sr *ShardResult) error {
 	b, err := json.MarshalIndent(sr, "", "  ")
 	if err != nil {
@@ -243,49 +95,10 @@ func WriteShardResult(path string, sr *ShardResult) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// ParseShardFlag resolves a `-shard i/n` flag value (1-based, e.g. "2/4")
-// against the full campaign spec: it validates the syntax, cuts the grid,
-// and returns the selected shard plus its executable sub-spec — the
-// shared front half of every sharded cmd tool.
-func ParseShardFlag(spec Spec, flagValue string) (*Shard, Spec, error) {
-	// Strict parse: Sscanf would silently ignore trailing garbage like
-	// "2/4x", running a shard the user may not have meant.
-	is, ns, ok := strings.Cut(flagValue, "/")
-	i, errI := strconv.Atoi(is)
-	n, errN := strconv.Atoi(ns)
-	if !ok || errI != nil || errN != nil || i < 1 || i > n {
-		return nil, Spec{}, fmt.Errorf("campaign: shard %q, want i/n with 1 <= i <= n", flagValue)
-	}
-	shards, err := spec.Shards(n)
-	if err != nil {
-		return nil, Spec{}, err
-	}
-	sh := shards[i-1]
-	sub, err := sh.ToSpec()
-	if err != nil {
-		return nil, Spec{}, err
-	}
-	return &sh, sub, nil
-}
-
-// ReadShardResults loads the shard outcome files a -merge invocation
-// names, ready for MergeShards.
-func ReadShardResults(files []string) ([]*ShardResult, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("campaign: no shard result files given")
-	}
-	out := make([]*ShardResult, 0, len(files))
-	for _, f := range files {
-		sr, err := ReadShardResult(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sr)
-	}
-	return out, nil
-}
-
-// ReadShardResult loads a shard outcome written by WriteShardResult.
+// ReadShardResult loads a campaign result file written by
+// WriteShardResult. It refuses a file that does not cover the whole
+// campaign: the range must be index 0 of 1 over runs [0, total), and the
+// rows must be non-null and hold exactly total runs between them.
 func ReadShardResult(path string) (*ShardResult, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -293,7 +106,33 @@ func ReadShardResult(path string) (*ShardResult, error) {
 	}
 	var sr ShardResult
 	if err := json.Unmarshal(b, &sr); err != nil {
-		return nil, fmt.Errorf("campaign: shard result %s: %w", path, err)
+		return nil, fmt.Errorf("campaign: result file %s: %w", path, err)
+	}
+	if err := sr.whole(); err != nil {
+		return nil, fmt.Errorf("campaign: result file %s: %w", path, err)
 	}
 	return &sr, nil
+}
+
+// whole checks that the result covers its entire campaign.
+func (sr *ShardResult) whole() error {
+	if sr.Index != 0 || sr.Count != 1 || sr.Start != 0 || sr.End != sr.Total || sr.Total < 1 {
+		return fmt.Errorf("covers runs [%d,%d) of %d as part %d of %d, want the whole campaign",
+			sr.Start, sr.End, sr.Total, sr.Index+1, sr.Count)
+	}
+	runs := 0
+	for gen, agg := range sr.Aggregates {
+		if agg == nil {
+			return fmt.Errorf("aggregate row %d is null", gen)
+		}
+		// Bounded per row, so a hostile count cannot overflow the sum.
+		if agg.Runs < 1 || agg.Runs > sr.Total-runs {
+			return fmt.Errorf("aggregate rows do not hold the campaign's %d runs", sr.Total)
+		}
+		runs += agg.Runs
+	}
+	if runs != sr.Total {
+		return fmt.Errorf("aggregate rows hold %d of the campaign's %d runs", runs, sr.Total)
+	}
+	return nil
 }

@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,125 +14,113 @@ import (
 	"repro/internal/worldgen"
 )
 
-func TestShardsPartitionProperties(t *testing.T) {
-	spec := Spec{
-		Maps:        Range(3),
-		Scenarios:   []int{0, 5},
-		Repeats:     2,
-		Generations: []core.Generation{core.V1, core.V3},
-		Timing:      scenario.SILTiming(),
+// leaseWire is the part of a coordinator lease a worker flies from: the
+// resolved runs, canonical indices and seeds by value, and the canonical
+// timing profile.
+type leaseWire struct {
+	Runs   []Run           `json:"runs"`
+	Timing scenario.Timing `json:"timing"`
+}
+
+// shipRuns sends runs through the lease wire format (a JSON round trip)
+// and rebuilds the executable sub-spec with RunsSpec, as a worker does.
+// It returns the decoded runs too, for mapping sub-spec results back to
+// canonical indices.
+func shipRuns(t *testing.T, runs []Run, timing scenario.Timing) (Spec, []Run) {
+	t.Helper()
+	b, err := json.Marshal(leaseWire{Runs: runs, Timing: timing.Canonical()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := spec.Total()
+	var got leaseWire
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	return RunsSpec(got.Runs, got.Timing), got.Runs
+}
+
+// leaseRanges cuts the campaign's canonical run order into n contiguous
+// ranges, the way a coordinator leases it out.
+func leaseRanges(t *testing.T, spec Spec, n int) [][]Run {
+	t.Helper()
 	runs, err := spec.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{1, 2, 3, 5, total} {
-		shards, err := spec.Shards(n)
-		if err != nil {
-			t.Fatalf("Shards(%d): %v", n, err)
-		}
-		if len(shards) != n {
-			t.Fatalf("Shards(%d) returned %d shards", n, len(shards))
-		}
-		next := 0
-		for i, sh := range shards {
-			if sh.Index != i || sh.Count != n || sh.Total != total {
-				t.Fatalf("Shards(%d)[%d] identity wrong: %+v", n, i, sh)
-			}
-			if sh.Start != next {
-				t.Fatalf("Shards(%d)[%d] starts at %d, want %d (contiguous)", n, i, sh.Start, next)
-			}
-			if size := sh.End - sh.Start; size < total/n || size > total/n+1 {
-				t.Fatalf("Shards(%d)[%d] has %d runs, want balanced %d..%d", n, i, size, total/n, total/n+1)
-			}
-			if len(sh.Runs) != sh.End-sh.Start {
-				t.Fatalf("Shards(%d)[%d] carries %d runs for range [%d,%d)", n, i, len(sh.Runs), sh.Start, sh.End)
-			}
-			for k, ru := range sh.Runs {
-				if ru != runs[sh.Start+k] {
-					t.Fatalf("Shards(%d)[%d] run %d is %+v, want canonical %+v", n, i, k, ru, runs[sh.Start+k])
-				}
-			}
-			next = sh.End
-		}
-		if next != total {
-			t.Fatalf("Shards(%d) covers %d of %d runs", n, next, total)
-		}
-	}
-
-	if _, err := spec.Shards(0); err == nil {
-		t.Error("Shards(0) did not error")
-	}
-	if _, err := spec.Shards(total + 1); err == nil {
-		t.Error("more shards than runs did not error")
-	}
-	if _, err := (Spec{}).Shards(2); err == nil {
-		t.Error("invalid spec did not error")
-	}
-}
-
-// executeShards runs every shard through the full wire format — JSON file
-// round trip included — and returns the persisted results.
-func executeShards(t *testing.T, shards []Shard, opts Options) []*ShardResult {
-	t.Helper()
-	dir := t.TempDir()
-	out := make([]*ShardResult, len(shards))
-	for i, sh := range shards {
-		sub, err := sh.ToSpec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Execute(context.Background(), sub, opts)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		path := filepath.Join(dir, "shard.json")
-		if err := WriteShardResult(path, sh.Result(rep)); err != nil {
-			t.Fatal(err)
-		}
-		sr, err := ReadShardResult(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = sr
+	out := make([][]Run, n)
+	for i := range out {
+		out[i] = runs[i*len(runs)/n : (i+1)*len(runs)/n]
 	}
 	return out
 }
 
-// TestMergeShardsShuffledBitIdentical is the distribution guarantee:
-// shards executed independently (as a remote machine would, from the JSON
-// wire format) and merged in any arrival order produce aggregates
-// bit-identical to a single uninterrupted campaign.
-func TestMergeShardsShuffledBitIdentical(t *testing.T) {
-	spec := resumeSpec()
-	want := uninterrupted(t, spec).Digest()
+// entries turns a sub-spec report back into canonical-index RunEntries,
+// the upload format.
+func entries(rep *Report, runs []Run) []RunEntry {
+	out := make([]RunEntry, len(rep.Results))
+	for k, r := range rep.Results {
+		out[k] = RunEntry{Index: runs[k].Index, Digest: r.Digest(), Result: r}
+	}
+	return out
+}
 
-	shards, err := spec.Shards(3)
+// flySlices flies each of n slices independently from the lease wire
+// format and returns every slice's uploads.
+func flySlices(t *testing.T, spec Spec, n int, opts Options) [][]RunEntry {
+	t.Helper()
+	var out [][]RunEntry
+	for i, part := range leaseRanges(t, spec, n) {
+		sub, runs := shipRuns(t, part, spec.Timing)
+		rep, err := Execute(context.Background(), sub, opts)
+		if err != nil {
+			t.Fatalf("slice %d: %v", i, err)
+		}
+		out = append(out, entries(rep, runs))
+	}
+	return out
+}
+
+// mergeSlices folds the slices' uploads into a fresh Merger in the given
+// arrival order and returns the complete campaign's digest.
+func mergeSlices(t *testing.T, spec Spec, uploads [][]RunEntry, order []int) string {
+	t.Helper()
+	m, err := NewMerger(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := executeShards(t, shards, Options{Workers: 2})
+	for _, k := range order {
+		for _, e := range uploads[k] {
+			if _, err := m.Accept(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !m.Complete() {
+		t.Fatalf("order %v merged %d of %d runs", order, m.Done(), m.Total())
+	}
+	return m.Digest()
+}
 
-	perms := [][]int{{2, 0, 1}, {1, 2, 0}, {2, 1, 0}, {0, 1, 2}}
-	for _, perm := range perms {
-		shuffled := make([]*ShardResult, len(results))
-		for i, p := range perm {
-			shuffled[i] = results[p]
-		}
-		merged, err := MergeShards(shuffled)
-		if err != nil {
-			t.Fatalf("order %v: %v", perm, err)
-		}
-		if d := AggregatesDigest(merged); d != want {
+// TestMergeShardsShuffledBitIdentical is the distribution guarantee:
+// slices executed independently (as a worker would, from the lease wire
+// format) and merged in any arrival order produce aggregates
+// bit-identical to a single uninterrupted campaign. A re-delivered slice
+// folds in as duplicates.
+func TestMergeShardsShuffledBitIdentical(t *testing.T) {
+	spec := resumeSpec()
+	want := uninterrupted(t, spec).Digest()
+	uploads := flySlices(t, spec, 3, Options{Workers: 2})
+
+	for _, perm := range [][]int{{2, 0, 1}, {1, 2, 0}, {2, 1, 0}, {0, 1, 2}, {1, 0, 1, 2}} {
+		if d := mergeSlices(t, spec, uploads, perm); d != want {
 			t.Fatalf("order %v: merged digest %s != uninterrupted %s", perm, d, want)
 		}
 	}
 }
 
 // TestShardsCarryCustomSeeds: a spec with explicit cells and a bespoke
-// seed function (the field-campaign shape) shards by value — the remote
-// end reproduces the seeds without the function.
+// seed function (the field-campaign shape) ships its runs by value — the
+// worker reproduces the seeds without the function.
 func TestShardsCarryCustomSeeds(t *testing.T) {
 	var cells []Cell
 	for i := 0; i < 6; i++ {
@@ -147,119 +138,35 @@ func TestShardsCarryCustomSeeds(t *testing.T) {
 	}
 	want := uninterrupted(t, spec).Digest()
 
-	shards, err := spec.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range shards {
-		sub, err := sh.ToSpec()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, part := range leaseRanges(t, spec, 2) {
+		sub, _ := shipRuns(t, part, spec.Timing)
 		subRuns, err := sub.Runs()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k, ru := range subRuns {
-			if ru.Seed != sh.Runs[k].Seed {
-				t.Fatalf("shard %d run %d re-derives seed %d, want shipped %d",
-					sh.Index, k, ru.Seed, sh.Runs[k].Seed)
+			if ru.Seed != part[k].Seed {
+				t.Fatalf("slice %d run %d re-derives seed %d, want shipped %d", i, k, ru.Seed, part[k].Seed)
 			}
 		}
 	}
-	merged, err := MergeShards(executeShards(t, shards, Options{Workers: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := AggregatesDigest(merged); d != want {
-		t.Fatalf("custom-seed sharded digest %s != uninterrupted %s", d, want)
+	uploads := flySlices(t, spec, 2, Options{Workers: 2})
+	if d := mergeSlices(t, spec, uploads, []int{1, 0}); d != want {
+		t.Fatalf("custom-seed distributed digest %s != uninterrupted %s", d, want)
 	}
 }
 
-func TestParseShardFlag(t *testing.T) {
-	spec := resumeSpec()
-	sh, sub, err := ParseShardFlag(spec, "2/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Index != 1 || sh.Count != 3 {
-		t.Errorf("\"2/3\" selected shard %d of %d", sh.Index+1, sh.Count)
-	}
-	if sub.Total() != sh.End-sh.Start {
-		t.Errorf("sub-spec has %d runs, shard range is %d", sub.Total(), sh.End-sh.Start)
-	}
-	for _, bad := range []string{"", "abc", "0/3", "4/3", "-1/3", "1/0", "2/4x", "2/4/6", "2 /4"} {
-		if _, _, err := ParseShardFlag(spec, bad); err == nil {
-			t.Errorf("ParseShardFlag(%q) did not error", bad)
-		}
-	}
-	if _, _, err := ParseShardFlag(spec, "1/9999"); err == nil {
-		t.Error("more shards than runs did not error")
-	}
-
-	if _, err := ReadShardResults(nil); err == nil {
-		t.Error("ReadShardResults(nil) did not error")
-	}
-	if _, err := ReadShardResults([]string{"/nonexistent/shard.json"}); err == nil {
-		t.Error("missing shard file did not error")
-	}
-}
-
-func TestMergeShardsValidation(t *testing.T) {
-	spec := resumeSpec()
-	shards, err := spec.Shards(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := executeShards(t, shards, Options{Workers: 2})
-
-	if _, err := MergeShards(nil); err == nil {
-		t.Error("empty merge did not error")
-	}
-	if _, err := MergeShards(results[:2]); err == nil {
-		t.Error("missing shard did not error")
-	}
-	dup := []*ShardResult{results[0], results[1], results[1]}
-	if _, err := MergeShards(dup); err == nil {
-		t.Error("duplicated shard did not error")
-	}
-
-	foreign := *results[2]
-	foreign.Sig = "0000"
-	if _, err := MergeShards([]*ShardResult{results[0], results[1], &foreign}); err == nil {
-		t.Error("foreign-campaign shard did not error")
-	}
-
-	gap := *results[2]
-	gap.Start++
-	if _, err := MergeShards([]*ShardResult{results[0], results[1], &gap}); err == nil {
-		t.Error("non-tiling shard ranges did not error")
-	}
-
-	short := *results[2]
-	short.End--
-	if _, err := MergeShards([]*ShardResult{results[0], results[1], &short}); err == nil {
-		t.Error("incomplete coverage did not error")
-	}
-}
-
-// TestShardAndCheckpointCompose: a shard can itself be checkpointed and
-// resumed — the distributed and crash-safe layers stack.
+// TestShardAndCheckpointCompose: a lease's sub-spec can itself be
+// checkpointed and resumed, as a worker journals every lease — the
+// distributed and crash-safe layers stack.
 func TestShardAndCheckpointCompose(t *testing.T) {
 	spec := resumeSpec()
 	want := uninterrupted(t, spec).Digest()
 
-	shards, err := spec.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []*ShardResult
-	for _, sh := range shards {
-		sub, err := sh.ToSpec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "shard.ckpt")
+	var uploads [][]RunEntry
+	for _, part := range leaseRanges(t, spec, 2) {
+		sub, runs := shipRuns(t, part, spec.Timing)
+		path := filepath.Join(t.TempDir(), "lease.journal")
 		// First attempt: cancel after one run, as a crashed worker would.
 		j, err := OpenJournal(path, sub)
 		if err != nil {
@@ -273,7 +180,7 @@ func TestShardAndCheckpointCompose(t *testing.T) {
 		})
 		cancel()
 		j.Close()
-		// Resume the shard to completion.
+		// Resume the lease to completion.
 		j2, err := OpenJournal(path, sub)
 		if err != nil {
 			t.Fatal(err)
@@ -283,15 +190,75 @@ func TestShardAndCheckpointCompose(t *testing.T) {
 			t.Fatal(err)
 		}
 		j2.Close()
-		results = append(results, sh.Result(rep))
+		uploads = append(uploads, entries(rep, runs))
 	}
-	rng := rand.New(rand.NewSource(1))
-	rng.Shuffle(len(results), func(i, j int) { results[i], results[j] = results[j], results[i] })
-	merged, err := MergeShards(results)
+	order := []int{0, 1}
+	rand.New(rand.NewSource(1)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	if d := mergeSlices(t, spec, uploads, order); d != want {
+		t.Fatalf("resumed-lease merge digest %s != uninterrupted %s", d, want)
+	}
+}
+
+// TestReadShardResultValidation: the campaign result file reads back to
+// the rows that were written, and a file that does not cover its whole
+// campaign is refused with an error naming the file.
+func TestReadShardResultValidation(t *testing.T) {
+	row := func(runs int) *scenario.Aggregate {
+		a := scenario.NewAggregate(core.V1.String())
+		for i := 0; i < runs; i++ {
+			a.Add(scenario.Result{Outcome: scenario.Success, LandingError: 0.25, Landed: true})
+		}
+		return a
+	}
+	whole := func() *ShardResult {
+		return &ShardResult{Count: 1, End: 2, Total: 2, Sig: "sig",
+			Aggregates: map[core.Generation]*scenario.Aggregate{core.V1: row(2)}}
+	}
+	dir := t.TempDir()
+	write := func(name string, sr *ShardResult) string {
+		path := filepath.Join(dir, name)
+		if err := WriteShardResult(path, sr); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	ok := whole()
+	got, err := ReadShardResult(write("ok.json", ok))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := AggregatesDigest(merged); d != want {
-		t.Fatalf("resumed-shard merge digest %s != uninterrupted %s", d, want)
+	if AggregatesDigest(got.Aggregates) != AggregatesDigest(ok.Aggregates) || got.Sig != ok.Sig {
+		t.Fatalf("result file round trip changed the rows: %+v", got)
+	}
+
+	bad := map[string]func(*ShardResult){
+		"partial-range": func(sr *ShardResult) { sr.End = 1 },
+		"second-part":   func(sr *ShardResult) { sr.Index, sr.Count = 1, 2 },
+		"two-parts":     func(sr *ShardResult) { sr.Count = 2 },
+		"offset-start":  func(sr *ShardResult) { sr.Start = 1 },
+		"empty":         func(sr *ShardResult) { sr.End, sr.Total, sr.Aggregates = 0, 0, nil },
+		"null-row":      func(sr *ShardResult) { sr.Aggregates[core.V2] = nil },
+		"short-rows":    func(sr *ShardResult) { sr.Aggregates[core.V1] = row(1) },
+		"extra-rows":    func(sr *ShardResult) { sr.Aggregates[core.V2] = row(1) },
+	}
+	for name, edit := range bad {
+		sr := whole()
+		edit(sr)
+		path := write(name+".json", sr)
+		if _, err := ReadShardResult(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: err = %v, want a refusal naming %s", name, err, path)
+		}
+	}
+
+	garbage := filepath.Join(dir, "garbage.json")
+	if err := os.WriteFile(garbage, []byte(`{"index": 0, "aggregates": {"x": {}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadShardResult(garbage); err == nil || !strings.Contains(err.Error(), garbage) {
+		t.Errorf("malformed file: err = %v, want a refusal naming it", err)
+	}
+	if _, err := ReadShardResult(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("missing result file did not error")
 	}
 }

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"context"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +27,9 @@ func freePort(t *testing.T) string {
 }
 
 // TestDistributedLoopback drives the exact code path the tools run:
-// Distributed(-serve) coordinating, Distributed(-join) working, and the
-// merged aggregates matching a direct local execution bit for bit.
+// Distributed(-serve -out) coordinating, Distributed(-join) working, the
+// merged aggregates matching a direct local execution bit for bit, and
+// -merge reading the same digest back from the campaign result file.
 func TestDistributedLoopback(t *testing.T) {
 	spec := campaign.Spec{
 		Maps:        campaign.Range(1),
@@ -42,7 +44,8 @@ func TestDistributedLoopback(t *testing.T) {
 	}
 
 	addr := freePort(t)
-	serve := &CampaignFlags{Serve: addr, LeaseTTL: 10 * time.Second}
+	out := filepath.Join(t.TempDir(), "result.json")
+	serve := &CampaignFlags{Serve: addr, LeaseTTL: 10 * time.Second, Out: out}
 
 	var (
 		wg   sync.WaitGroup
@@ -83,6 +86,9 @@ func TestDistributedLoopback(t *testing.T) {
 	}
 	if got, want := campaign.AggregatesDigest(aggs), campaign.AggregatesDigest(direct.Aggregates); got != want {
 		t.Fatalf("fleet digest %s != direct digest %s", got, want)
+	}
+	if got, want := campaign.AggregatesDigest(Merge("test", "runs", []string{out})), direct.Digest(); got != want {
+		t.Fatalf("-merge of the result file: digest %s != direct %s", got, want)
 	}
 }
 

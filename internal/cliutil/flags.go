@@ -1,12 +1,12 @@
 // Package cliutil is the shared command-line layer of the bench tools.
 // silbench, hilbench, fieldtest and campaignd all run the same campaign
 // machinery, so it is defined once here:
-//   - the campaign flags (-workers, -progress, -checkpoint,
-//     -shard/-out/-merge, -pipeline, -faults, -fast, -fleet), whose timing
-//     knobs reach internal/catalog, where every named campaign's Spec is
-//     built, through Knobs;
-//   - the local execute path (Execute: shard, trace, checkpoint, run,
-//     resume hint, shard file) and the -merge prologue (Merge);
+//   - the campaign flags (-workers, -progress, -checkpoint, -out/-merge,
+//     -pipeline, -faults, -fast, -fleet), whose timing knobs reach
+//     internal/catalog, where every named campaign's Spec is built,
+//     through Knobs;
+//   - the local execute path (Execute: trace, checkpoint, run, resume
+//     hint) and the -merge prologue (Merge);
 //   - the distributed entry points (-serve, -join) and the observability
 //     flags (-trace, -metrics, -debug).
 //
@@ -39,7 +39,6 @@ type CampaignFlags struct {
 	Workers    int
 	Progress   bool
 	Checkpoint string
-	Shard      string
 	Out        string
 	Merge      bool
 	Pipeline   bool
@@ -67,10 +66,9 @@ func Register(fs *flag.FlagSet) *CampaignFlags {
 	fs.BoolVar(&f.Progress, "progress", false, "print campaign progress with ETA to stderr")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "",
 		"journal file for crash-safe resume (rerun the same command to continue); with -join: a journal directory")
-	fs.StringVar(&f.Shard, "shard", "", "run one shard of the campaign, as i/n (e.g. 2/4)")
 	fs.StringVar(&f.Out, "out", "",
-		"shard aggregate output file (default <tool>-shard-<i>-of-<n>.json); with -serve: the merged campaign result file")
-	fs.BoolVar(&f.Merge, "merge", false, "merge shard result files given as arguments and print the tables")
+		"with -serve: write the campaign result file here once every run has merged (print it again with -merge)")
+	fs.BoolVar(&f.Merge, "merge", false, "print the tables from the campaign result file given as the argument (written by -serve -out)")
 	fs.BoolVar(&f.Pipeline, "pipeline", false,
 		"run perception on a concurrent stage (tick-stamped delivery; sense-to-act latency emerges from stage cost)")
 	fs.StringVar(&f.Faults, "faults", "",
@@ -101,20 +99,20 @@ func (f *CampaignFlags) Validate() error {
 	if f.Serve != "" && f.Join != "" {
 		return fmt.Errorf("-serve and -join are mutually exclusive (one process is either coordinator or worker)")
 	}
-	if f.Serve != "" && (f.Shard != "" || f.Merge) {
-		return fmt.Errorf("-serve dispatches the whole campaign; drop -shard/-merge")
+	if f.Merge && (f.Serve != "" || f.Join != "" || f.Trace != "") {
+		return fmt.Errorf("-merge only reads a campaign result file; drop -serve/-join/-trace")
 	}
-	if f.Join != "" && (f.Shard != "" || f.Merge) {
-		return fmt.Errorf("-join takes its work from the coordinator; drop -shard/-merge")
+	if f.Out != "" && f.Serve == "" {
+		return fmt.Errorf("-out writes the campaign result file of -serve; add -serve or drop -out")
+	}
+	if f.LeaseTTL <= 0 {
+		return fmt.Errorf("-lease-ttl %s: want a positive duration", f.LeaseTTL)
 	}
 	if f.Fleet != "" && (f.Pipeline || f.Fast) {
 		return fmt.Errorf("-fleet flies the exact inline engine; drop -pipeline/-fast")
 	}
 	if f.Trace != "" && (f.Serve != "" || f.Join != "") {
 		return fmt.Errorf("-trace records locally executed runs; the coordinator flies nothing and a worker's lease order is not the canonical order — drop -trace or run locally")
-	}
-	if f.Trace != "" && f.Merge {
-		return fmt.Errorf("-merge only reads shard files; drop -trace")
 	}
 	if f.Workers < 1 {
 		f.Workers = runtime.GOMAXPROCS(0)
@@ -163,21 +161,6 @@ func (f *CampaignFlags) Options(tool string) campaign.Options {
 	return opts
 }
 
-// ApplyShard resolves -shard against the full spec: it returns the
-// original spec untouched when the flag is unset, or the selected shard
-// plus its executable sub-spec (printing the standard range banner).
-func (f *CampaignFlags) ApplyShard(tool string, spec campaign.Spec) (*campaign.Shard, campaign.Spec, error) {
-	if f.Shard == "" {
-		return nil, spec, nil
-	}
-	sh, sub, err := campaign.ParseShardFlag(spec, f.Shard)
-	if err != nil {
-		return nil, spec, err
-	}
-	fmt.Printf("shard %d/%d: runs [%d,%d) of %d\n\n", sh.Index+1, sh.Count, sh.Start, sh.End, sh.Total)
-	return sh, sub, nil
-}
-
 // OpenCheckpoint opens -checkpoint for the spec (nil when unset),
 // printing the standard resume banner when the journal already holds
 // finished runs.
@@ -205,41 +188,18 @@ func (f *CampaignFlags) CheckpointHint(tool string, interrupted bool) {
 	}
 }
 
-// WriteShardOut persists an executed shard's aggregates to -out (or the
-// tool's default name) and prints the merge hint.
-func (f *CampaignFlags) WriteShardOut(tool string, sh *campaign.Shard, rep *campaign.Report) error {
-	path := f.Out
-	if path == "" {
-		path = fmt.Sprintf("%s-shard-%d-of-%d.json", tool, sh.Index+1, sh.Count)
-	}
-	if err := campaign.WriteShardResult(path, sh.Result(rep)); err != nil {
-		return err
-	}
-	fmt.Printf("\nshard aggregates written to %s — combine with: %s -merge <all shard files>\n", path, tool)
-	return nil
-}
-
 // Execute flies spec on this machine, the path every bench tool shares:
-// -shard narrows it to one slice (printing the range banner), -trace and
-// -checkpoint wire into it, Ctrl-C cancels between runs (printing the
-// resume hint), and a shard's aggregates are written to -out. Errors are
-// fatal.
+// -trace and -checkpoint wire into it, and Ctrl-C cancels between runs
+// (printing the resume hint). Errors are fatal.
 func (f *CampaignFlags) Execute(tool string, spec campaign.Spec, opts campaign.Options) *campaign.Report {
-	sh, sub, err := f.ApplyShard(tool, spec)
-	if err != nil {
-		Fatal(tool, 2, err)
-	}
-	// A shard's sub-spec is rebuilt from its runs; the hooks carry over
-	// and see shard-local run indices.
-	sub.Configure = spec.Configure
-	closeTrace, err := f.WireTrace(&sub, &opts)
+	closeTrace, err := f.WireTrace(&spec, &opts)
 	if err != nil {
 		Fatal(tool, 1, err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	j, err := f.OpenCheckpoint(sub)
+	j, err := f.OpenCheckpoint(spec)
 	if err != nil {
 		Fatal(tool, 1, err)
 	}
@@ -248,7 +208,7 @@ func (f *CampaignFlags) Execute(tool string, spec campaign.Spec, opts campaign.O
 		opts.Checkpoint = j
 	}
 
-	report, err := campaign.Execute(ctx, sub, opts)
+	report, err := campaign.Execute(ctx, spec, opts)
 	if err != nil {
 		closeTrace()
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
@@ -258,30 +218,24 @@ func (f *CampaignFlags) Execute(tool string, spec campaign.Spec, opts campaign.O
 	if err := closeTrace(); err != nil {
 		Fatal(tool, 1, err)
 	}
-	if sh != nil {
-		if err := f.WriteShardOut(tool, sh, report); err != nil {
-			Fatal(tool, 1, err)
-		}
-	}
 	return report
 }
 
-// Merge is the -merge prologue every bench tool shares: it reads the
-// shard result files, merges them and prints the merge banner and the
-// aggregate digest. unit names what a run is to the tool ("runs",
+// Merge is the -merge prologue every bench tool shares: it reads the one
+// campaign result file that -serve -out wrote and prints the banner and
+// the aggregate digest. unit names what a run is to the tool ("runs",
 // "flights"). Errors are fatal.
 func Merge(tool, unit string, files []string) map[core.Generation]*scenario.Aggregate {
-	shards, err := campaign.ReadShardResults(files)
-	if err != nil {
-		Fatal(tool, 2, err)
+	if len(files) != 1 {
+		Fatal(tool, 2, fmt.Errorf("-merge reads one campaign result file (written by -serve -out), got %d", len(files)))
 	}
-	merged, err := campaign.MergeShards(shards)
+	res, err := campaign.ReadShardResult(files[0])
 	if err != nil {
 		Fatal(tool, 1, err)
 	}
-	fmt.Printf("merged %d shards (%d %s)\n", len(shards), shards[0].Total, unit)
-	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(merged))
-	return merged
+	fmt.Printf("campaign result %s (%d %s)\n", files[0], res.Total, unit)
+	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(res.Aggregates))
+	return res.Aggregates
 }
 
 // Fatal prints a tool-prefixed error and exits with the given code.

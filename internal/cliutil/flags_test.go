@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -56,12 +55,20 @@ func TestRegisterAndValidate(t *testing.T) {
 		t.Fatalf("workers not defaulted: %d", f.Workers)
 	}
 
+	// -out names the campaign result file of -serve.
+	if err := parse(t, "-serve", ":9131", "-out", "result.json").Validate(); err != nil {
+		t.Fatal(err)
+	}
+
 	bad := [][]string{
 		{"-serve", ":9131", "-join", "http://x:9131"},
-		{"-serve", ":9131", "-shard", "1/2"},
 		{"-serve", ":9131", "-merge"},
-		{"-join", "http://x:9131", "-shard", "1/2"},
 		{"-join", "http://x:9131", "-merge"},
+		{"-merge", "-trace", "t.jsonl"},
+		{"-out", "result.json"},
+		{"-join", "http://x:9131", "-out", "result.json"},
+		{"-serve", ":9131", "-lease-ttl", "0"},
+		{"-serve", ":9131", "-lease-ttl", "-5s"},
 	}
 	for _, args := range bad {
 		if err := parse(t, args...).Validate(); err == nil {
@@ -123,10 +130,10 @@ func TestKnobs(t *testing.T) {
 	}
 }
 
-// TestExecuteShardsAndMerge drives the tools' local path as two -shard
-// runs: each flies its slice with the spec's hook, writes -out, and Merge
-// recombines the files into the uninterrupted campaign's digest.
-func TestExecuteShardsAndMerge(t *testing.T) {
+// TestExecuteRunsEveryHook drives the tools' local path over the whole
+// spec: the spec's hook runs once per run, and the report matches a
+// direct campaign.Execute.
+func TestExecuteRunsEveryHook(t *testing.T) {
 	spec := testSpec()
 	direct, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2})
 	if err != nil {
@@ -135,22 +142,13 @@ func TestExecuteShardsAndMerge(t *testing.T) {
 
 	var hooked atomic.Int64
 	spec.Configure = func(campaign.Run, *worldgen.Scenario, *core.System, *scenario.RunConfig) { hooked.Add(1) }
-	dir := t.TempDir()
-	var files []string
-	for _, sh := range []string{"1/2", "2/2"} {
-		out := filepath.Join(dir, strings.ReplaceAll(sh, "/", "-of-")+".json")
-		f := &CampaignFlags{Workers: 2, Shard: sh, Out: out}
-		if rep := f.Execute("test", spec, f.Options("test")); len(rep.Results) != spec.Total()/2 {
-			t.Fatalf("shard %s flew %d runs, want %d", sh, len(rep.Results), spec.Total()/2)
-		}
-		files = append(files, out)
+	f := &CampaignFlags{Workers: 2}
+	rep := f.Execute("test", spec, f.Options("test"))
+	if got := int(hooked.Load()); got != spec.Total() || len(rep.Results) != spec.Total() {
+		t.Fatalf("Configure ran %d times over %d results, want %d", got, len(rep.Results), spec.Total())
 	}
-	if got := int(hooked.Load()); got != spec.Total() {
-		t.Fatalf("Configure ran %d times across the shards, want %d", got, spec.Total())
-	}
-	merged := Merge("test", "runs", []string{files[1], files[0]})
-	if got, want := campaign.AggregatesDigest(merged), direct.Digest(); got != want {
-		t.Fatalf("merged digest %s != direct %s", got, want)
+	if got, want := rep.Digest(), direct.Digest(); got != want {
+		t.Fatalf("Execute digest %s != direct %s", got, want)
 	}
 }
 
@@ -168,36 +166,6 @@ func TestOptionsCarriesWorkersAndProgress(t *testing.T) {
 	// The throttled callback must tolerate being driven directly.
 	opts.OnProgress(campaign.Progress{Done: 1, Total: 2})
 	opts.OnProgress(campaign.Progress{Done: 2, Total: 2})
-}
-
-func TestApplyShard(t *testing.T) {
-	spec := testSpec()
-
-	f := parse(t)
-	sh, sub, err := f.ApplyShard("test", spec)
-	if err != nil || sh != nil {
-		t.Fatalf("unset -shard: %v, %v", sh, err)
-	}
-	if sub.Total() != spec.Total() {
-		t.Fatalf("unset -shard changed the spec: %d != %d", sub.Total(), spec.Total())
-	}
-
-	f = parse(t, "-shard", "2/4")
-	sh, sub, err = f.ApplyShard("test", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Index != 1 || sh.Count != 4 {
-		t.Fatalf("shard selection: %+v", sh)
-	}
-	if sub.Total() >= spec.Total() || sub.Total() != sh.End-sh.Start {
-		t.Fatalf("sub-spec size %d for shard [%d,%d)", sub.Total(), sh.Start, sh.End)
-	}
-
-	f = parse(t, "-shard", "9/4")
-	if _, _, err := f.ApplyShard("test", spec); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
 }
 
 func TestOpenCheckpointRoundTrip(t *testing.T) {
@@ -234,34 +202,4 @@ func TestOpenCheckpointRoundTrip(t *testing.T) {
 
 	f.CheckpointHint("test", true)  // exercises the hint path
 	f.CheckpointHint("test", false) // and the silent one
-}
-
-func TestWriteShardOut(t *testing.T) {
-	spec := testSpec()
-	shards, err := spec.Shards(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := &shards[0]
-	sub, err := sh.ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := campaign.Execute(context.Background(), sub, campaign.Options{Workers: 2, Ordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "out.json")
-	f := parse(t, "-out", path)
-	if err := f.WriteShardOut("test", sh, rep); err != nil {
-		t.Fatal(err)
-	}
-	res, err := campaign.ReadShardResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Start != sh.Start || res.End != sh.End || res.Sig == "" {
-		t.Fatalf("shard result round-trip: %+v", res)
-	}
 }

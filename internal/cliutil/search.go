@@ -42,10 +42,12 @@ func RegisterSearch(fs *flag.FlagSet) *SearchFlags {
 // Active reports whether a fault search was requested.
 func (f *SearchFlags) Active() bool { return f.Search != "" }
 
-// ParseCell resolves -search-cell.
+// ParseCell resolves -search-cell. Sscanf ignores trailing text, so the
+// cell must also re-render to exactly what was given: "4:0:0junk" and
+// "4:0:0:1" are refused instead of searching cell 4:0:0.
 func (f *SearchFlags) ParseCell() (mapIdx, scIdx, rep int, err error) {
 	n, err := fmt.Sscanf(f.Cell, "%d:%d:%d", &mapIdx, &scIdx, &rep)
-	if err != nil || n != 3 {
+	if err != nil || n != 3 || fmt.Sprintf("%d:%d:%d", mapIdx, scIdx, rep) != f.Cell {
 		return 0, 0, 0, fmt.Errorf("-search-cell %q: want map:scenario:rep (e.g. 4:0:0)", f.Cell)
 	}
 	if mapIdx < 0 || scIdx < 0 || rep < 0 {

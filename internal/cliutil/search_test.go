@@ -33,7 +33,7 @@ func TestSearchFlags(t *testing.T) {
 }
 
 func TestSearchFlagsBadCell(t *testing.T) {
-	for _, bad := range []string{"", "4", "4:0", "a:b:c", "-1:0:0"} {
+	for _, bad := range []string{"", "4", "4:0", "a:b:c", "-1:0:0", "4:0:0junk", "4:0:0:1"} {
 		sf := &SearchFlags{Cell: bad}
 		if _, _, _, err := sf.ParseCell(); err == nil {
 			t.Errorf("cell %q accepted", bad)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/scenario"
 )
 
@@ -106,13 +107,69 @@ func TestLoopbackFleetDigestIdentity(t *testing.T) {
 	if sh.Total != spec.Total() || sh.Sig != c.merger.Sig() {
 		t.Fatalf("shard result %+v inconsistent with campaign", sh)
 	}
-	// The -out artifact round-trips through the existing -merge path.
-	merged, err := campaign.MergeShards([]*campaign.ShardResult{sh})
+	// The -out artifact round-trips through the reader -merge uses.
+	path := filepath.Join(t.TempDir(), "result.json")
+	if err := campaign.WriteShardResult(path, sh); err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.ReadShardResult(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := campaign.AggregatesDigest(merged); d != direct.Digest() {
-		t.Fatalf("merged shard digest %s != direct %s", d, direct.Digest())
+	if d := campaign.AggregatesDigest(res.Aggregates); d != direct.Digest() {
+		t.Fatalf("result file digest %s != direct %s", d, direct.Digest())
+	}
+}
+
+// TestLoopbackTimingKnobs splits a `-faults gps` and a `-fleet 3` V1
+// campaign into one-run leases: each knob rides the lease's Timing to the
+// worker, and the merged digest equals a direct run's.
+func TestLoopbackTimingKnobs(t *testing.T) {
+	gps, err := fault.ParsePlan("gps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := scenario.ParseFleet("3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := catalog.Grid{Maps: 1, Scenarios: 2, Repeats: 1, Systems: "1"}
+	for name, knobs := range map[string]catalog.Knobs{
+		"faults-gps": {Faults: gps},
+		"fleet-3":    {Fleet: fleet},
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := catalog.SIL.Spec(grid, knobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2, Ordered: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			c, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 10 * time.Second, MaxLease: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			if _, err := Work(ctx, WorkerOptions{
+				Addr: srv.URL, Name: "w0", EngineWorkers: 2, PollInterval: 20 * time.Millisecond,
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			if st := c.Status(); st.Leases != spec.Total() {
+				t.Fatalf("campaign of %d runs flew in %d leases, want one per run", spec.Total(), st.Leases)
+			}
+			if got, want := c.Digest(), direct.Digest(); got != want {
+				t.Fatalf("%s fleet digest %s != direct digest %s", name, got, want)
+			}
+		})
 	}
 }
 

@@ -59,9 +59,9 @@ type LeaseRequest struct {
 }
 
 // Lease is one contiguous slice of the campaign's canonical run order,
-// leased to one worker until Deadline. It is self-contained the same way
-// a Shard is: resolved runs (cells plus per-run seeds by value), the
-// timing profile, and the campaign signature.
+// leased to one worker until Deadline. It is self-contained: resolved
+// runs (cells plus per-run seeds by value), the timing profile, and the
+// campaign signature.
 type Lease struct {
 	ID  int64  `json:"id"`
 	Sig string `json:"sig"`

@@ -109,9 +109,9 @@ func (c *Coordinator) Aggregates() map[core.Generation]*scenario.Aggregate {
 	return c.merger.Aggregates()
 }
 
-// ShardResult packages the completed campaign as a single full-range
-// shard result — the same artifact `silbench -shard/-merge` exchanges, so
-// a coordinator's output file feeds any existing -merge invocation.
+// ShardResult packages the completed campaign as the campaign result
+// file: index 0 of 1, covering every run. `-serve -out` writes it and
+// `<tool> -merge` prints its tables again.
 func (c *Coordinator) ShardResult() *campaign.ShardResult {
 	return &campaign.ShardResult{
 		Index:      0,

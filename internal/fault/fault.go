@@ -15,9 +15,9 @@
 // derived from the run seed with a SplitMix64-mixed salt (the scheme of
 // internal/scenario/grid.go), so a fault campaign is a pure function of
 // (seed, Plan): bit-identical across worker counts, checkpoint resumes,
-// and shard-merge orders. Plans ride scenario.Timing, so they flow into
-// campaign Specs, checkpoint-journal signatures, and the shard wire format
-// without any extra plumbing.
+// and distributed-merge orders. Plans ride scenario.Timing, so they flow
+// into campaign Specs, checkpoint-journal signatures, and the
+// coordinator's lease format without any extra plumbing.
 //
 // Field ownership mirrors the pipelined runner's: window activity is a
 // pure function of (Plan, time) so both the control loop and a concurrent
@@ -33,7 +33,7 @@ import (
 )
 
 // Kind names one fault concern. The string values are the wire format
-// (plans are persisted in campaign signatures, journals and shard files) —
+// (plans are persisted in campaign signatures, journals and leases) —
 // never rename one, only append.
 type Kind string
 
@@ -160,7 +160,7 @@ func (f Fault) probability() float64 {
 //
 // A Plan is immutable once it enters a campaign Spec: it is shared by
 // every worker, rides the Spec signature into checkpoint journals, and is
-// serialized by value into shard files.
+// serialized by value into leases.
 type Plan struct {
 	Faults []Fault `json:"faults"`
 }
@@ -235,7 +235,7 @@ func trimFloat(v float64) string {
 }
 
 // MarshalText / UnmarshalText are intentionally NOT implemented: plans are
-// persisted as structured JSON (the journal/shard wire format), and the
+// persisted as structured JSON (the journal/lease wire format), and the
 // compact grammar below exists only for the -faults command-line flag.
 
 // ParsePlan parses the -faults flag grammar: either a preset name

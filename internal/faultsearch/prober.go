@@ -11,7 +11,7 @@ import (
 
 // CellProber flies probes for one grid cell through campaign.Execute —
 // the same single funnel (scenario.RunGridCell) every sweep, checkpoint
-// resume, shard and fleet lease uses. That buys the search two properties
+// resume and fleet lease uses. That buys the search two properties
 // for free: probe results are bit-identical to any campaign run of the
 // same (seed, plan), and consecutive probes share the cell's immutable
 // world through worldgen.Shared, so only the first probe pays world

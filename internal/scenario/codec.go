@@ -12,8 +12,8 @@ import (
 
 // Wire encoding for campaign persistence and distribution.
 //
-// Checkpoint journals persist per-run Results; shard files persist
-// Aggregates. Both must round-trip bit-exactly: a resumed or merged
+// Checkpoint journals persist per-run Results; campaign result files
+// persist Aggregates. Both must round-trip bit-exactly: a resumed or merged
 // campaign is verified against an uninterrupted one by digest, so a single
 // flipped mantissa bit would read as corruption. encoding/json already
 // round-trips finite float64s exactly (shortest-representation encoding),

@@ -77,10 +77,10 @@ type Timing struct {
 	// Pipeline selects inline (off) or staged (on) perception execution;
 	// see pipeline.go. The knob lives on Timing so it travels everywhere a
 	// deployment profile does: campaign Specs, checkpoint-journal
-	// signatures, and the shard wire format. omitempty keeps the zero
-	// (PipelineOff) encoding byte-identical to the pre-pipeline Timing, so
-	// journals and shard files recorded before this knob existed still
-	// match their campaign's signature.
+	// signatures, and the coordinator's lease format. omitempty keeps the
+	// zero (PipelineOff) encoding byte-identical to the pre-pipeline
+	// Timing, so journals and result files recorded before this knob
+	// existed still match their campaign's signature.
 	Pipeline PipelineMode `json:",omitempty"`
 	// PipelineLatencyTicks is k when the pipeline is on: perception results
 	// captured at tick T are applied at tick T+k. Zero is a synchronous
@@ -92,9 +92,9 @@ type Timing struct {
 	// Faults, when non-nil and non-empty, is the run's fault-injection
 	// plan (see internal/fault). Like the pipeline knob it lives on Timing
 	// so it travels everywhere a deployment profile does — campaign Specs,
-	// checkpoint-journal signatures, the shard wire format — and omitempty
+	// checkpoint-journal signatures, the lease format — and omitempty
 	// keeps the nil encoding byte-identical to the pre-fault Timing, so
-	// recorded journals and shard files still match their signatures. A
+	// recorded journals and result files still match their signatures. A
 	// nil or empty plan costs nothing: the mission stays on the zero-alloc
 	// hot path, bit-identical to the pre-fault engine (guarded by the
 	// committed golden sweep digest).
@@ -107,18 +107,19 @@ type Timing struct {
 	// bit-identical to the exact engine — it is instead verified
 	// statistically equivalent by campaign.VerifyFast against committed
 	// aggregate tolerances, so it is not valid for bit-identity-gated
-	// comparisons (golden digests, shard merges against exact runs). The
-	// off state is bit-identical to the historical engine and alloc-neutral
-	// (guarded by the committed golden sweep digest), and omitempty keeps
-	// the zero encoding byte-identical for recorded journals and shards.
+	// comparisons (golden digests, distributed merges against exact runs).
+	// The off state is bit-identical to the historical engine and
+	// alloc-neutral (guarded by the committed golden sweep digest), and
+	// omitempty keeps the zero encoding byte-identical for recorded
+	// journals and result files.
 	Fast bool `json:",omitempty"`
 	// Fleet, when non-nil with Size >= 2, flies N drones through the run's
 	// world in deterministic lockstep with inter-drone sensing (see
 	// fleet.go and docs/fleet.md). Like the knobs above it lives on Timing
 	// so it travels everywhere a deployment profile does — campaign Specs,
-	// checkpoint-journal signatures, the shard/lease wire formats — and
-	// omitempty keeps the nil encoding byte-identical to the pre-fleet
-	// Timing, so recorded journals and shard files still match their
+	// checkpoint-journal signatures, the lease format — and omitempty
+	// keeps the nil encoding byte-identical to the pre-fleet Timing, so
+	// recorded journals and result files still match their
 	// signatures. Off (nil, or Size <= 1, which Canonical normalizes to
 	// nil) costs one branch in Run and nothing per tick: bit-identical to
 	// the solo engine and alloc-neutral (guarded by the committed golden
@@ -146,8 +147,8 @@ func SILTiming() Timing {
 // Canonical returns the timing with inactive knobs normalized: a nil or
 // empty fault plan becomes nil, and a nil or single-drone fleet spec
 // becomes nil. An empty Plan (or a Size-1 fleet) runs bit-identically to
-// the nil knob, so campaign signatures and shard files encode both the
-// same way — otherwise a checkpoint written with `&fault.Plan{}` or
+// the nil knob, so campaign signatures and leases encode both the same
+// way — otherwise a checkpoint written with `&fault.Plan{}` or
 // `&FleetSpec{Size: 1}` would refuse to resume under a spec whose knob is
 // nil.
 func (t Timing) Canonical() Timing {
@@ -222,7 +223,7 @@ type RunConfig struct {
 	// check per site — the untraced path stays on the zero-alloc hot
 	// path, guarded by BenchmarkRunTraceOff. RunConfig is runtime-only
 	// (never part of campaign signatures), so the knob cannot perturb
-	// checkpoint or shard compatibility.
+	// checkpoint or lease compatibility.
 	Recorder obs.Recorder
 	// RTK switches the GPS model to RTK-corrected output (§V-C
 	// mitigation study).
