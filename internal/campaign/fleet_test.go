@@ -2,12 +2,8 @@ package campaign
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -67,45 +63,7 @@ func TestGoldenFleetDigest(t *testing.T) {
 		t.Fatalf("fleet sweep ran %d runs, want %d", len(rep.Results), spec.Total())
 	}
 
-	h := sha256.New()
-	for _, r := range rep.Results {
-		fmt.Fprintln(h, r.Digest())
-	}
-	gotResults := hex.EncodeToString(h.Sum(nil))
-	gotAggregates := rep.Digest()
-	content := fmt.Sprintf("aggregates %s\nresults %s\n", gotAggregates, gotResults)
-
-	if os.Getenv("GOLDEN_UPDATE") == "1" {
-		if err := os.MkdirAll(filepath.Dir(goldenFleetPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFleetPath, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("fleet golden file updated:\n%s", content)
-		return
-	}
-
-	raw, err := os.ReadFile(goldenFleetPath)
-	if err != nil {
-		t.Fatalf("fleet golden file missing (%v) — generate with GOLDEN_UPDATE=1", err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		k, v, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("fleet golden file: malformed line %q", line)
-		}
-		want[k] = v
-	}
-	if gotAggregates != want["aggregates"] {
-		t.Errorf("fleet aggregate digest drifted from golden\n got: %s\nwant: %s",
-			gotAggregates, want["aggregates"])
-	}
-	if gotResults != want["results"] {
-		t.Errorf("fleet per-run digest chain drifted from golden\n got: %s\nwant: %s",
-			gotResults, want["results"])
-	}
+	checkGoldenDigests(t, goldenFleetPath, "fleet", rep)
 }
 
 // TestFleetCampaignDeterministicAcrossWorkers: a fixed (seed, FleetSpec)

@@ -27,6 +27,9 @@ import (
 // a diff you can't explain):
 //
 //	GOLDEN_UPDATE=1 go test ./internal/campaign -run TestGoldenSweepDigest
+//
+// TestFastGoldenDigest regenerates testdata/golden_fast_digest.txt the
+// same way.
 
 const goldenPath = "testdata/golden_sweep_digest.txt"
 
@@ -46,6 +49,42 @@ func TestGoldenSweepDigest(t *testing.T) {
 		t.Fatalf("sweep ran %d runs, want 48", len(rep.Results))
 	}
 
+	checkGoldenDigests(t, goldenPath, "PipelineOff", rep)
+}
+
+// goldenFastPath commits the fast engine mode's oracle digests: the golden
+// grid under Timing.WithFast(), the digests the campaign benchmark's
+// fast-staged workload records. FastGround frames, the fast kernels and
+// the perception and plan stages all feed them, so they pin fast-mode
+// bits the way golden_sweep_digest.txt pins exact-mode bits.
+const goldenFastPath = "testdata/golden_fast_digest.txt"
+
+// TestFastGoldenDigest executes the golden grid in fast engine mode at one
+// and at two workers and compares both digests against the committed file.
+func TestFastGoldenDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("48 full closed-loop missions, twice")
+	}
+	spec := GoldenGridSpec()
+	spec.Timing = spec.Timing.WithFast()
+	for _, workers := range []int{1, 2} {
+		rep, err := Execute(context.Background(), spec, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Results) != 48 {
+			t.Fatalf("fast sweep ran %d runs, want 48", len(rep.Results))
+		}
+		checkGoldenDigests(t, goldenFastPath, fmt.Sprintf("fast (workers=%d)", workers), rep)
+	}
+}
+
+// checkGoldenDigests compares rep's aggregate digest and its per-run digest
+// chain (results in report order) against the golden file at path, or
+// rewrites the file when GOLDEN_UPDATE=1. what names the campaign in
+// failure messages.
+func checkGoldenDigests(t *testing.T, path, what string, rep *Report) {
+	t.Helper()
 	h := sha256.New()
 	for _, r := range rep.Results {
 		fmt.Fprintln(h, r.Digest())
@@ -55,17 +94,17 @@ func TestGoldenSweepDigest(t *testing.T) {
 	content := fmt.Sprintf("aggregates %s\nresults %s\n", gotAggregates, gotResults)
 
 	if os.Getenv("GOLDEN_UPDATE") == "1" {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden file updated:\n%s", content)
+		t.Logf("golden file %s updated:\n%s", path, content)
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden file missing (%v) — generate with GOLDEN_UPDATE=1", err)
 	}
@@ -73,17 +112,17 @@ func TestGoldenSweepDigest(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		k, v, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("golden file: malformed line %q", line)
+			t.Fatalf("golden file %s: malformed line %q", path, line)
 		}
 		want[k] = v
 	}
 	if gotAggregates != want["aggregates"] {
-		t.Errorf("PipelineOff aggregate digest drifted from golden\n got: %s\nwant: %s",
-			gotAggregates, want["aggregates"])
+		t.Errorf("%s aggregate digest drifted from golden\n got: %s\nwant: %s",
+			what, gotAggregates, want["aggregates"])
 	}
 	if gotResults != want["results"] {
-		t.Errorf("PipelineOff per-run digest chain drifted from golden\n got: %s\nwant: %s",
-			gotResults, want["results"])
+		t.Errorf("%s per-run digest chain drifted from golden\n got: %s\nwant: %s",
+			what, gotResults, want["results"])
 	}
 }
 
