@@ -614,6 +614,59 @@ func BenchmarkRender(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderSweep times downward-camera frame captures the way a
+// campaign takes them: a fixed flight over five maps (woodline, lakeside,
+// parkside, urban blocks, towers) that looks at the landing marker and at
+// the map's first building, tree and water body from 2–30 m at mixed yaws.
+// Roofs, canopies and water share frames with bare ground, so the occluder
+// cull sees partly blocked frames, which BenchmarkRender's single clear
+// frame never does. One op is one frame; the poses cycle.
+func BenchmarkRenderSweep(b *testing.B) {
+	type pose struct {
+		sc  *worldgen.Scenario
+		pos geom.Vec3
+		yaw float64
+	}
+	alts := []float64{2, 5, 9, 14, 20, 30}
+	var poses []pose
+	for _, m := range []int{1, 3, 5, 7, 9} {
+		sc, err := worldgen.Generate(m, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := sc.World
+		targets := []geom.Vec3{sc.TrueMarker}
+		if len(w.Buildings) > 0 {
+			targets = append(targets, w.Buildings[0].Center())
+		}
+		if len(w.Trees) > 0 {
+			targets = append(targets, geom.V3(w.Trees[0].Center.X, w.Trees[0].Center.Y, 0))
+		}
+		if len(w.Water) > 0 {
+			targets = append(targets, w.Water[0].Center())
+		}
+		for _, t := range targets {
+			// Off-centre by a fraction of the footprint, so each frame
+			// holds the target's edge and the ground around it.
+			z := alts[len(poses)%len(alts)]
+			poses = append(poses, pose{sc, geom.V3(t.X+0.3*z, t.Y-0.2*z, z), 0.4 + 1.7*float64(len(poses))})
+		}
+	}
+	color := sim.NewColorCamera(1)
+	// One pass grows every per-frame buffer to the sweep's largest frame.
+	for _, p := range poses {
+		color.Capture(p.sc.World, p.sc.Weather, p.pos, p.yaw, 2.0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := poses[i%len(poses)]
+		if im := color.Capture(p.sc.World, p.sc.Weather, p.pos, p.yaw, 2.0); im.W == 0 {
+			b.Fatal("empty frame")
+		}
+	}
+}
+
 // BenchmarkDepthCapture times one forward depth-camera frame (the 16x10 ray
 // fan with soft canopies) over a tree-heavy rural world.
 func BenchmarkDepthCapture(b *testing.B) {

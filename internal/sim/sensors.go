@@ -467,7 +467,8 @@ func (d *DepthCamera) softTrees(w *World, ray geom.Ray, best float64, cand []int
 // which is how GPS drift becomes marker-position error.
 type ColorCamera struct {
 	Intrinsics vision.Camera
-	// Fast renders the ground texture from a half-resolution lattice
+	// Fast renders the ground texture from a reduced sample lattice,
+	// every 4th pixel column of every 2nd pixel row
 	// (vision.Scene.FastGround) — part of the tolerance-verified fast
 	// engine mode. Markers and occluders stay exact; off (the zero value),
 	// frames are bit-identical to the exact renderer.
@@ -520,9 +521,9 @@ func (c *ColorCamera) Capture(w *World, weather Weather, pos geom.Vec3, yaw, spe
 	}
 	// An empty footprint can never occlude, so skip the per-pixel occluder
 	// callback entirely — identical pixels, one indirect call less each.
-	// A non-empty footprint still often misses the frame's actual ground
+	// A non-empty footprint still often misses most of the frame's ground
 	// rectangle (the filter disk carries corner and slack margin); the
-	// renderer culls that case per frame through OccluderFree.
+	// renderer culls that case per 16x16-pixel tile through OccluderFree.
 	if len(c.sub.Buildings) == 0 && len(c.sub.Trees) == 0 && len(c.sub.Water) == 0 {
 		c.scene.OccluderAt = nil
 	} else {

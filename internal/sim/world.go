@@ -233,9 +233,9 @@ func (w *World) OccluderAt(x, y float64) (albedo, top float64, blocked bool) {
 // footprint or water rectangle — overlaps the axis-aligned ground rectangle
 // [x0,x1]x[y0,y1]. A true result proves OccluderAt returns blocked=false at
 // every point inside the rectangle, which lets the renderer drop the
-// per-pixel occluder query for a whole frame. False is conservative (tree
-// footprints are tested by bounding box): the rectangle may still be clear,
-// and the caller falls back to the exact per-pixel path.
+// per-pixel occluder query for a whole pixel tile. False is conservative
+// (tree footprints are tested by bounding box): the rectangle may still be
+// clear, and the caller falls back to the exact per-pixel path.
 func (w *World) OccluderFreeRect(x0, y0, x1, y1 float64) bool {
 	for i := range w.Water {
 		wa := &w.Water[i]

@@ -6,11 +6,6 @@ import (
 	"repro/internal/geom"
 )
 
-// mathCos/mathSin aliases keep marker.go free of a math import cycle worry
-// and give one place to swap in table-based trig if profiling demands it.
-func mathCos(a float64) float64 { return math.Cos(a) }
-func mathSin(a float64) float64 { return math.Sin(a) }
-
 // Camera is a downward-facing pinhole camera rigidly mounted under the
 // drone, matching the downward D435i of the paper's platform. Only yaw is
 // modeled (the gimbal-less mount keeps the optical axis vertical; the small
@@ -101,8 +96,8 @@ type GroundTexture struct {
 // At returns the albedo of the terrain at ground position (x, y).
 func (g GroundTexture) At(x, y float64) float64 {
 	v := g.Base +
-		g.Contrast*(valueNoise(x*0.35, y*0.35, g.Seed)-0.5) +
-		0.5*g.Contrast*(valueNoise(x*1.3, y*1.3, g.Seed^0x9e37)-0.5)
+		g.Contrast*(valueNoise(x*octave1Scale, y*octave1Scale, g.Seed)-0.5) +
+		0.5*g.Contrast*(valueNoise(x*octave2Scale, y*octave2Scale, g.Seed^octave2Seed)-0.5)
 	if v < 0 {
 		return 0
 	}
@@ -112,64 +107,129 @@ func (g GroundTexture) At(x, y float64) float64 {
 	return v
 }
 
-// groundSampler evaluates a GroundTexture with a one-cell memo per noise
-// octave: adjacent render pixels land in the same noise lattice cell for
-// runs of dozens of pixels, so the four corner hashes are reused instead
-// of recomputed. Values are bit-identical to GroundTexture.At — only the
-// redundant hashing is skipped.
-type groundSampler struct {
-	g    GroundTexture
-	oct1 octaveMemo
-	oct2 octaveMemo
+// Noise octaves of GroundTexture.At: lattice scale per ground meter, and
+// the second octave's seed offset.
+const (
+	octave1Scale = 0.35
+	octave2Scale = 1.3
+	octave2Seed  = 0x9e37
+)
+
+// noiseLattice holds latticeHash for every point of one noise octave's
+// lattice that a frame's ground footprint can reach, so the render loops
+// read a cell's four corner hashes instead of hashing them. A cell outside
+// the table is hashed directly, so exactness never depends on how the
+// footprint was estimated: the table only serves values latticeHash
+// returns.
+type noiseLattice struct {
+	seed int64
+	// x0, y0 are the lattice coordinates of the table's first point; the
+	// table is w points wide. cell[j*w+i] holds the hashes of the points
+	// (i,j), (i+1,j), (i,j+1) and (i+1,j+1) relative to (x0, y0): the
+	// corners of one cell, valid for 0 <= i < maxI and 0 <= j < maxJ.
+	x0, y0     float64
+	maxI, maxJ float64
+	w          int
+	cell       [][4]float64
+	// hash is fill's working buffer: the table's points, row-major.
+	hash []float64
 }
 
-// octaveMemo caches the corner hashes of the last-touched lattice cell.
-type octaveMemo struct {
-	seed               int64
-	x0, y0             float64
-	h00, h10, h01, h11 float64
-	valid              bool
-}
+// latticePad widens a frame's table past its corner-pixel footprint, in
+// lattice cells, to cover samples that lie just outside it (the FastGround
+// lattice's extra column, the incremental pixel walk's drift).
+const latticePad = 2
 
-// reset points the sampler at a texture and invalidates the memos.
-func (gs *groundSampler) reset(g GroundTexture) {
-	gs.g = g
-	gs.oct1 = octaveMemo{seed: g.Seed}
-	gs.oct2 = octaveMemo{seed: g.Seed ^ 0x9e37}
-}
+// maxLatticeCoord bounds the lattice coordinates a table may hold: far
+// inside float64's exact-integer range, so the table's coordinates and the
+// cell offsets computed from them are exact.
+const maxLatticeCoord = 1 << 40
 
-// at mirrors GroundTexture.At through the memoized octaves.
-func (gs *groundSampler) at(x, y float64) float64 {
-	v := gs.g.Base +
-		gs.g.Contrast*(gs.oct1.noise(x*0.35, y*0.35)-0.5) +
-		0.5*gs.g.Contrast*(gs.oct2.noise(x*1.3, y*1.3)-0.5)
-	if v < 0 {
-		return 0
+// fill points the table at seed and hashes the lattice points of the
+// ground rectangle [minX,maxX]x[minY,maxY] at the given octave scale,
+// padded by latticePad cells (plus the upper corners of the last cell). A
+// table of more than limit points, or one past maxLatticeCoord (huge or
+// non-finite poses), is left empty: every sample then takes the direct
+// path.
+func (l *noiseLattice) fill(seed int64, scale, minX, minY, maxX, maxY float64, limit int) {
+	l.seed = seed
+	x0 := math.Floor(minX*scale) - latticePad
+	y0 := math.Floor(minY*scale) - latticePad
+	x1 := math.Floor(maxX*scale) + latticePad + 1
+	y1 := math.Floor(maxY*scale) + latticePad + 1
+	nx, ny := x1-x0+1, y1-y0+1
+	if !(x0 >= -maxLatticeCoord && y0 >= -maxLatticeCoord && x1 <= maxLatticeCoord &&
+		y1 <= maxLatticeCoord && nx*ny <= float64(limit)) {
+		l.x0, l.y0, l.maxI, l.maxJ, l.w = 0, 0, 0, 0, 0
+		return
 	}
-	if v > 1 {
-		return 1
+	w, h := int(nx), int(ny)
+	if cap(l.hash) < w*h {
+		// The point count moves with the footprint's alignment to the
+		// lattice and with altitude; headroom keeps a camera that moves
+		// at a steady altitude from regrowing its tables.
+		l.hash = make([]float64, w*h, (w+4)*(h+4))
+		l.cell = make([][4]float64, w*h, (w+4)*(h+4))
 	}
-	return v
+	l.hash, l.cell = l.hash[:w*h], l.cell[:w*h]
+	for j := 0; j < h; j++ {
+		y := y0 + float64(j)
+		row := l.hash[j*w : (j+1)*w]
+		for i := range row {
+			row[i] = latticeHash(x0+float64(i), y, seed)
+		}
+	}
+	for k := 0; k+w+1 < w*h; k++ {
+		l.cell[k] = [4]float64{l.hash[k], l.hash[k+1], l.hash[k+w], l.hash[k+w+1]}
+	}
+	l.x0, l.y0, l.maxI, l.maxJ, l.w = x0, y0, nx-1, ny-1, w
 }
 
-// noise is valueNoise with the corner hashes served from the memo when
-// the query stays in the cached lattice cell.
-func (m *octaveMemo) noise(x, y float64) float64 {
-	x0, y0 := math.Floor(x), math.Floor(y)
-	if !m.valid || x0 != m.x0 || y0 != m.y0 {
-		m.x0, m.y0 = x0, y0
-		m.h00 = latticeHash(x0, y0, m.seed)
-		m.h10 = latticeHash(x0+1, y0, m.seed)
-		m.h01 = latticeHash(x0, y0+1, m.seed)
-		m.h11 = latticeHash(x0+1, y0+1, m.seed)
-		m.valid = true
+// cellAt returns the corner hashes of the cell whose lower-left lattice
+// point is (x0, y0), both floors, or nil when the table does not hold it.
+// The offsets are exact for every cell the test admits; NaN fails it.
+func (l *noiseLattice) cellAt(x0, y0 float64) *[4]float64 {
+	i, j := x0-l.x0, y0-l.y0
+	if i >= 0 && i < l.maxI && j >= 0 && j < l.maxJ {
+		return &l.cell[int(j)*l.w+int(i)]
 	}
-	fx, fy := x-x0, y-y0
+	return nil
+}
+
+// at returns valueNoise(x, y, l.seed), reading the corner hashes from the
+// table when it holds the cell.
+func (l *noiseLattice) at(x, y float64) float64 {
+	x0, y0 := floorIn(x), floorIn(y)
+	if c := l.cellAt(x0, y0); c != nil {
+		return lerpCell(c, x-x0, y-y0)
+	}
+	return valueNoise(x, y, l.seed)
+}
+
+// lerpCell is valueNoise's blend of a cell's corner hashes c (ordered as
+// noiseLattice.cell) at the offset (fx, fy) inside the cell.
+func lerpCell(c *[4]float64, fx, fy float64) float64 {
 	sx := fx * fx * (3 - 2*fx)
 	sy := fy * fy * (3 - 2*fy)
-	top := m.h00*(1-sx) + m.h10*sx
-	bot := m.h01*(1-sx) + m.h11*sx
+	top := c[0]*(1-sx) + c[1]*sx
+	bot := c[2]*(1-sx) + c[3]*sx
 	return top*(1-sy) + bot*sy
+}
+
+// floorIn is math.Floor for |x| < 2^52, except that it maps -0 to +0
+// (which leaves every noise value unchanged). Unlike math.Floor it
+// compiles to a few instructions without a CPU-feature branch or a
+// fallback call, which lets the render loop keep its values in registers.
+// Outside that range (NaN, ±Inf, huge) its result is arbitrary, which is
+// harmless: a non-empty table bounds every sample of its frame well
+// inside the range, and for any other pose fill leaves the tables empty,
+// so cellAt rejects every cell and each sample takes the direct path.
+func floorIn(x float64) float64 {
+	f := float64(int64(x))
+	if f > x {
+		f--
+	}
+	return f
 }
 
 // valueNoise is deterministic 2-D value noise in [0,1] with bilinear

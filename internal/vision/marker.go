@@ -2,6 +2,7 @@ package vision
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -277,12 +278,12 @@ type MarkerInstance struct {
 // ContainsGround reports whether the ground point p falls on the pad, and
 // if so returns the pad-local normalized coordinates.
 func (mi MarkerInstance) ContainsGround(p geom.Vec3) (u, v float64, ok bool) {
-	return mi.ContainsGroundRot(p, mathCos(-mi.Yaw), mathSin(-mi.Yaw))
+	return mi.ContainsGroundRot(p, math.Cos(-mi.Yaw), math.Sin(-mi.Yaw))
 }
 
 // ContainsGroundRot is ContainsGround with the pad's rotation terms
-// precomputed by the caller. Render loops hoist mathCos(-mi.Yaw) and
-// mathSin(-mi.Yaw) out of their per-pixel loop and pass them here, which
+// precomputed by the caller. Render loops hoist math.Cos(-mi.Yaw) and
+// math.Sin(-mi.Yaw) out of their per-pixel loop and pass them here, which
 // keeps the result bit-identical to ContainsGround (same operands, same
 // operation order) while dropping two trig calls per tested pixel.
 func (mi MarkerInstance) ContainsGroundRot(p geom.Vec3, cos, sin float64) (u, v float64, ok bool) {

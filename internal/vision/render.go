@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -23,10 +24,10 @@ type Scene struct {
 
 	// OccluderFree, when non-nil, reports that no occluder intersects the
 	// axis-aligned ground rectangle [x0,x1]x[y0,y1]. The renderer asks it
-	// once per frame with the frame's ground footprint; a true answer lets
-	// the per-pixel OccluderAt query be skipped for the whole frame with
-	// bit-identical output (every pixel's query would have returned
-	// blocked=false). May answer false conservatively.
+	// once per 16x16-pixel tile with the tile's ground footprint; a true
+	// answer lets the per-pixel OccluderAt query be skipped for that tile's
+	// pixels with bit-identical output (every such query would have
+	// returned blocked=false). May answer false conservatively.
 	OccluderFree func(x0, y0, x1, y1 float64) bool
 
 	// FastGround renders the ground texture from a reduced sample lattice
@@ -43,8 +44,14 @@ type Scene struct {
 	// boxes of the markers, so the per-pixel loop only evaluates the exact
 	// (rotated) pad containment inside a marker's box.
 	markerBoxes []groundBox
-	// ground memoizes noise-lattice corner hashes across adjacent pixels.
-	ground groundSampler
+	// oct1 and oct2 hold the frame's lattice hashes of GroundTexture.At's
+	// two noise octaves.
+	oct1, oct2 noiseLattice
+	// lxCos and lxSin are the exact loop's per-column projection terms.
+	lxCos, lxSin []float64
+	// tileFree marks, per cullTile-square pixel tile in raster order, the
+	// tiles whose pixels skip the OccluderAt query.
+	tileFree []bool
 	// FastGround scratch: the lattice rows bracketing the current pixel-row
 	// pair, their blend, and the expanded full-width texture row.
 	rowLo, rowHi, rowMid, groundRow []float64
@@ -69,10 +76,13 @@ func (s *Scene) Render(cam Camera) *Image {
 
 // RenderInto draws the scene as seen by cam into im, resizing it when the
 // camera geometry changed. It is the hot path of the perception stack and
-// allocates nothing in steady state: the output buffer is reused, and the
-// per-pixel marker test is prescreened by precomputed ground-space marker
-// bounding boxes (a conservative superset of pad containment, so the
-// rendered pixels are bit-identical to the exhaustive per-pixel loop).
+// allocates nothing in steady state: the output buffer and the per-frame
+// tables are reused. Each frame hashes the noise lattice its footprint
+// can reach once (noiseLattice), asks OccluderFree once per pixel tile
+// (cullTiles) and, in the exact loop, hoists the projection's column and
+// row terms; the per-pixel marker test is prescreened by ground-space
+// marker bounding boxes (a conservative superset of pad containment at
+// every finite ground point). None of it changes a pixel's bits.
 func (s *Scene) RenderInto(cam Camera, im *Image) {
 	if im.W != cam.W || im.H != cam.H || len(im.Pix) != cam.W*cam.H {
 		*im = *NewImage(cam.W, cam.H)
@@ -92,42 +102,57 @@ func (s *Scene) RenderInto(cam Camera, im *Image) {
 	boxes := s.markerBoxes[:len(s.Markers)]
 	for i := range s.Markers {
 		m := &s.Markers[i]
-		c, sn := mathCos(m.Yaw), mathSin(m.Yaw)
+		c, sn := math.Cos(m.Yaw), math.Sin(m.Yaw)
 		half := (absf(c) + absf(sn)) * m.Size / 2
 		boxes[i] = groundBox{
 			minX: m.Center.X - half, minY: m.Center.Y - half,
 			maxX: m.Center.X + half, maxY: m.Center.Y + half,
-			cosN: mathCos(-m.Yaw), sinN: mathSin(-m.Yaw),
+			cosN: math.Cos(-m.Yaw), sinN: math.Sin(-m.Yaw),
 		}
 	}
 
-	s.ground.reset(s.Ground)
-	occ := s.occluderForFrame(cam, h)
+	cos, sin := math.Cos(cam.Yaw), math.Sin(cam.Yaw)
+	tilesX := s.cullTiles(cam, cos, sin)
+	minX, minY, maxX, maxY := groundRect(cam, cos, sin, 0, 0, cam.W-1, cam.H-1)
+	// A table with more points than the frame has pixels would cost more
+	// to fill than the hashes it saves.
+	g := s.Ground
+	s.oct1.fill(g.Seed, octave1Scale, minX, minY, maxX, maxY, cam.W*cam.H)
+	s.oct2.fill(g.Seed^octave2Seed, octave2Scale, minX, minY, maxX, maxY, cam.W*cam.H)
 	if s.FastGround {
-		s.renderFastGround(cam, im, boxes, occ)
+		s.renderFastGround(cam, im, boxes, cos, sin, tilesX)
 		return
 	}
-	cos, sin := mathCos(cam.Yaw), mathSin(cam.Yaw)
 	cw, ch := float64(cam.W)/2, float64(cam.H)/2
+	// Column terms once per frame and row terms once per row: each pixel
+	// still computes lx*cos - ly*sin from the same rounded products.
+	if cap(s.lxCos) < cam.W {
+		s.lxCos = make([]float64, cam.W)
+		s.lxSin = make([]float64, cam.W)
+	}
+	lxCos, lxSin := s.lxCos[:cam.W], s.lxSin[:cam.W]
+	o1, o2 := &s.oct1, &s.oct2
+	for px := range lxCos {
+		lx := (float64(px) + 0.5 - cw) / cam.FocalPx
+		lxCos[px], lxSin[px] = lx*cos, lx*sin
+	}
 	for py := 0; py < cam.H; py++ {
-		for px := 0; px < cam.W; px++ {
-			lx := (float64(px) + 0.5 - cw) / cam.FocalPx
-			ly := (float64(py) + 0.5 - ch) / cam.FocalPx
-			// Rotate by yaw into world frame; scale by altitude later per
-			// surface height.
-			dx := lx*cos - ly*sin
-			dy := lx*sin + ly*cos
+		ly := (float64(py) + 0.5 - ch) / cam.FocalPx
+		lySin, lyCos := ly*sin, ly*cos
+		row := im.Pix[py*cam.W : (py+1)*cam.W]
+		free := s.tileFree[py/cullTile*tilesX:]
+		for px := range row {
+			// Rotate by yaw into world frame, then hit the ground plane
+			// assuming flat terrain at z=0.
+			gx := cam.Pos.X + (lxCos[px]-lySin)*h
+			gy := cam.Pos.Y + (lxSin[px]+lyCos)*h
 
-			// Ground-plane hit assuming flat terrain at z=0.
-			gx := cam.Pos.X + dx*h
-			gy := cam.Pos.Y + dy*h
-
-			if occ != nil {
-				if alb, top, blocked := occ(gx, gy); blocked && top < h {
+			if !free[px/cullTile] {
+				if alb, top, blocked := s.OccluderAt(gx, gy); blocked && top < h {
 					// The occluder top replaces the ground along the pixel's
 					// vertical sample ray; its albedo is flat, so no
 					// re-projection onto the top surface is needed.
-					im.Pix[py*cam.W+px] = alb
+					row[px] = alb
 					continue
 				}
 			}
@@ -145,70 +170,116 @@ func (s *Scene) RenderInto(cam Camera, im *Image) {
 				}
 			}
 			if !onMarker {
-				val = s.ground.at(gx, gy)
+				// GroundTexture.At, with both octaves inline.
+				x, y := gx*octave1Scale, gy*octave1Scale
+				x0, y0 := floorIn(x), floorIn(y)
+				n1 := 0.0
+				if c := o1.cellAt(x0, y0); c != nil {
+					n1 = lerpCell(c, x-x0, y-y0)
+				} else {
+					n1 = valueNoise(x, y, o1.seed)
+				}
+				x, y = gx*octave2Scale, gy*octave2Scale
+				x0, y0 = floorIn(x), floorIn(y)
+				n2 := 0.0
+				if c := o2.cellAt(x0, y0); c != nil {
+					n2 = lerpCell(c, x-x0, y-y0)
+				} else {
+					n2 = valueNoise(x, y, o2.seed)
+				}
+				val = clamp01(g.Base + g.Contrast*(n1-0.5) + 0.5*g.Contrast*(n2-0.5))
 			}
-			im.Pix[py*cam.W+px] = val
+			row[px] = val
 		}
 	}
 }
 
-// occluderForFrame resolves the per-pixel occluder callback for one frame:
-// when an OccluderFree query is available and reports the frame's ground
-// footprint clear, the callback is dropped (nil) for the whole frame. The
-// footprint AABB is exact — the ground projection is affine in pixel
-// coordinates at fixed altitude, so the four corner pixels bound every
-// pixel center — padded by a millimeter to absorb the incremental pixel
-// walk's float drift. The cull never changes a pixel: it only removes
-// queries that were guaranteed to answer "not blocked".
-func (s *Scene) occluderForFrame(cam Camera, h float64) func(x, y float64) (float64, float64, bool) {
-	occ := s.OccluderAt
-	if occ == nil || s.OccluderFree == nil {
-		return occ
+// groundAt is GroundTexture.At with both octaves' corner hashes read from
+// the frame's lattice tables.
+func (s *Scene) groundAt(x, y float64) float64 {
+	g := &s.Ground
+	return clamp01(g.Base +
+		g.Contrast*(s.oct1.at(x*octave1Scale, y*octave1Scale)-0.5) +
+		0.5*g.Contrast*(s.oct2.at(x*octave2Scale, y*octave2Scale)-0.5))
+}
+
+// cullTile is the side, in pixels, of the square tiles the renderer asks
+// OccluderFree about.
+const cullTile = 16
+
+// cullTiles fills s.tileFree with one flag per cullTile-square pixel tile,
+// in raster order, and returns the number of tiles per row. A flag is set
+// when the tile's pixels need no OccluderAt query: there is no OccluderAt,
+// or OccluderFree reports the tile's ground rectangle clear. The rectangle
+// comes from the tile's corner pixels (see groundRect), padded by a
+// millimeter to absorb the FastGround pixel walk's float drift; a tile
+// reaching past cullRange (a non-finite or absurd pose) keeps its queries,
+// since there the drift could outgrow the pad. The cull never changes a
+// pixel: it only removes queries that were guaranteed to answer "not
+// blocked".
+func (s *Scene) cullTiles(cam Camera, cos, sin float64) int {
+	tilesX := (cam.W + cullTile - 1) / cullTile
+	tilesY := (cam.H + cullTile - 1) / cullTile
+	if cap(s.tileFree) < tilesX*tilesY {
+		s.tileFree = make([]bool, tilesX*tilesY)
 	}
-	cos, sin := mathCos(cam.Yaw), mathSin(cam.Yaw)
+	s.tileFree = s.tileFree[:tilesX*tilesY]
+	const cullPad, cullRange = 1e-3, 1e9
+	for ty := 0; ty < tilesY; ty++ {
+		for tx := 0; tx < tilesX; tx++ {
+			free := s.OccluderAt == nil
+			if !free && s.OccluderFree != nil {
+				px0, py0 := tx*cullTile, ty*cullTile
+				px1, py1 := min(px0+cullTile, cam.W)-1, min(py0+cullTile, cam.H)-1
+				minX, minY, maxX, maxY := groundRect(cam, cos, sin, px0, py0, px1, py1)
+				free = minX >= -cullRange && minY >= -cullRange && maxX <= cullRange && maxY <= cullRange &&
+					s.OccluderFree(minX-cullPad, minY-cullPad, maxX+cullPad, maxY+cullPad)
+			}
+			s.tileFree[ty*tilesX+tx] = free
+		}
+	}
+	return tilesX
+}
+
+// groundRect returns the ground-plane bounding box of the pixel centers of
+// the pixel rectangle [px0,px1]x[py0,py1]. The projection is affine in
+// pixel coordinates at fixed altitude, so the four corner pixels bound
+// every pixel center inside.
+func groundRect(cam Camera, cos, sin float64, px0, py0, px1, py1 int) (minX, minY, maxX, maxY float64) {
+	h := cam.Pos.Z
 	cw, ch := float64(cam.W)/2, float64(cam.H)/2
-	minX, minY := cam.Pos.X, cam.Pos.Y
-	maxX, maxY := cam.Pos.X, cam.Pos.Y
 	for corner := 0; corner < 4; corner++ {
-		px, py := 0, 0
+		px, py := px0, py0
 		if corner&1 != 0 {
-			px = cam.W - 1
+			px = px1
 		}
 		if corner&2 != 0 {
-			py = cam.H - 1
+			py = py1
 		}
 		lx := (float64(px) + 0.5 - cw) / cam.FocalPx
 		ly := (float64(py) + 0.5 - ch) / cam.FocalPx
 		gx := cam.Pos.X + (lx*cos-ly*sin)*h
 		gy := cam.Pos.Y + (lx*sin+ly*cos)*h
-		if gx < minX {
-			minX = gx
-		} else if gx > maxX {
-			maxX = gx
+		if corner == 0 {
+			minX, minY, maxX, maxY = gx, gy, gx, gy
+			continue
 		}
-		if gy < minY {
-			minY = gy
-		} else if gy > maxY {
-			maxY = gy
-		}
+		minX, minY = min(minX, gx), min(minY, gy)
+		maxX, maxY = max(maxX, gx), max(maxY, gy)
 	}
-	const cullPad = 1e-3
-	if s.OccluderFree(minX-cullPad, minY-cullPad, maxX+cullPad, maxY+cullPad) {
-		return nil
-	}
-	return occ
+	return minX, minY, maxX, maxY
 }
 
 // renderFastGround is the FastGround pixel loop: same inverse projection,
 // same exact per-pixel occluder and marker evaluation, but ground-texture
-// values come from a lattice sampled at every second pixel in x and y and
-// bilinearly interpolated between. The noise field is C1-smooth at feature
-// scales of meters while the lattice spacing is centimeters of ground, so
-// the interpolation error is far below the photometric-conditioning noise;
-// campaign.VerifyFast bounds the aggregate effect.
-func (s *Scene) renderFastGround(cam Camera, im *Image, boxes []groundBox, occ func(x, y float64) (float64, float64, bool)) {
+// values come from a lattice sampled at every 4th pixel column of every
+// 2nd pixel row and bilinearly interpolated between. The noise field is
+// C1-smooth at feature scales of meters while the lattice spacing is
+// centimeters of ground, so the interpolation error is far below the
+// photometric-conditioning noise; campaign.VerifyFast bounds the aggregate
+// effect.
+func (s *Scene) renderFastGround(cam Camera, im *Image, boxes []groundBox, cos, sin float64, tilesX int) {
 	h := cam.Pos.Z
-	cos, sin := mathCos(cam.Yaw), mathSin(cam.Yaw)
 	cw, ch := float64(cam.W)/2, float64(cam.H)/2
 	const strideX = 4
 	// Lattice columns sit at px = strideX*j; one extra column past the right
@@ -230,15 +301,13 @@ func (s *Scene) renderFastGround(cam Camera, im *Image, boxes []groundBox, occ f
 	stepY := sin / cam.FocalPx * h
 
 	// sampleRow fills dst with the ground texture along lattice row py.
-	// Raster order is preserved across calls, which is what keeps the
-	// sampler's one-cell memo effective.
 	sampleRow := func(py int, dst []float64) {
 		ly := (float64(py) + 0.5 - ch) / cam.FocalPx
 		lx := (0.5 - cw) / cam.FocalPx
 		gx := cam.Pos.X + (lx*cos-ly*sin)*h
 		gy := cam.Pos.Y + (lx*sin+ly*cos)*h
 		for j := 0; j < nx; j++ {
-			dst[j] = s.ground.at(gx, gy)
+			dst[j] = s.groundAt(gx, gy)
 			gx += strideX * stepX
 			gy += strideX * stepY
 		}
@@ -284,9 +353,10 @@ func (s *Scene) renderFastGround(cam Camera, im *Image, boxes []groundBox, occ f
 		lx := (0.5 - cw) / cam.FocalPx
 		gx := cam.Pos.X + (lx*cos-ly*sin)*h
 		gy := cam.Pos.Y + (lx*sin+ly*cos)*h
+		free := s.tileFree[py/cullTile*tilesX:]
 		for px := 0; px < cam.W; px++ {
-			if occ != nil {
-				if alb, top, blocked := occ(gx, gy); blocked && top < h {
+			if !free[px/cullTile] {
+				if alb, top, blocked := s.OccluderAt(gx, gy); blocked && top < h {
 					im.Pix[base+px] = alb
 					gx += stepX
 					gy += stepY

@@ -7,12 +7,12 @@
 // Two classes of gate:
 //
 //   - The zero-alloc paths must report 0 allocs/op: the capture paths
-//     (Render, DepthCapture, Raycast, GroundHeight) and the occupancy-map
-//     paths (InsertCloud and Blocked on the octree and the local grid, each
-//     replaying a fixed capture sequence into a saturated map). Any
-//     non-zero reading means a buffer started escaping again. (The smoke
-//     step runs them for enough iterations that one-time warm-up buffer
-//     growth amortizes to zero.)
+//     (Render, RenderSweep, DepthCapture, Raycast, GroundHeight) and the
+//     occupancy-map paths (InsertCloud and Blocked on the octree and the
+//     local grid, each replaying a fixed capture sequence into a saturated
+//     map). Any non-zero reading means a buffer started escaping again.
+//     (The smoke step runs them for enough iterations that one-time
+//     warm-up buffer growth amortizes to zero.)
 //
 //   - The closed-loop mission units — BenchmarkRun (inline runner),
 //     BenchmarkRunPipelined (staged perception runner) and BenchmarkRunFast
@@ -54,6 +54,7 @@ import (
 // at zero steady-state allocations.
 var zeroAllocBenchmarks = []string{
 	"BenchmarkRender",
+	"BenchmarkRenderSweep",
 	"BenchmarkDepthCapture",
 	"BenchmarkRaycast",
 	"BenchmarkGroundHeight",

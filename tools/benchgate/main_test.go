@@ -22,6 +22,7 @@ BenchmarkRunTraceOff-4            5    304000000 ns/op   8618868 B/op   11773 al
 BenchmarkDispatchOverhead-4       1    812000000 ns/op      1.73 overhead-%
 BenchmarkCellAffinity-4         100       581034 ns/op      41.7 affine-hit-%      8.3 random-hit-%
 BenchmarkRender-4              1000       408527 ns/op       524 B/op       0 allocs/op
+BenchmarkRenderSweep-4          200       433504 ns/op         4 B/op       0 allocs/op
 BenchmarkDepthCapture-4        1000        30587 ns/op        58 B/op       0 allocs/op
 BenchmarkRaycast-4             1000          121.3 ns/op       0 B/op       0 allocs/op
 BenchmarkGroundHeight-4        1000           12.65 ns/op      0 B/op       0 allocs/op
@@ -307,7 +308,7 @@ func TestGateFailsNonZeroCapturePath(t *testing.T) {
 	if err == nil {
 		t.Fatalf("non-zero capture path passed the gate:\n%s", out)
 	}
-	if !strings.Contains(out, "BenchmarkRender") {
+	if !strings.Contains(out, "BenchmarkRender: 3 allocs/op") {
 		t.Errorf("violation does not name the regressed capture path:\n%s", out)
 	}
 }
@@ -322,17 +323,31 @@ func TestGateCoversMapPaths(t *testing.T) {
 		{"BenchmarkBlocked/Octree-4               1000     15429 ns/op     0 B/op       0 allocs/op", "BenchmarkBlocked/Octree"},
 		{"BenchmarkBlocked/LocalGrid-4            1000     14694 ns/op     0 B/op       0 allocs/op", "BenchmarkBlocked/LocalGrid"},
 	} {
-		if !strings.Contains(goodBench, c.line) {
-			t.Fatalf("fixture drifted: %s line not found", c.name)
-		}
-		allocating := strings.Replace(goodBench, c.line, strings.Replace(c.line, " 0 allocs/op", " 2 allocs/op", 1), 1)
-		if err, out := gate(t, allocating, baselineJSON, 0.10); err == nil || !strings.Contains(out, c.name+": 2 allocs/op") {
-			t.Errorf("allocating %s passed the gate or went unnamed:\n%s", c.name, out)
-		}
-		missing := strings.Replace(goodBench, c.line+"\n", "", 1)
-		if err, out := gate(t, missing, baselineJSON, 0.10); err == nil || !strings.Contains(out, c.name+": missing") {
-			t.Errorf("missing %s passed the gate or went unnamed:\n%s", c.name, out)
-		}
+		checkZeroAllocEntry(t, c.line, c.name)
+	}
+}
+
+// TestGateCoversRenderSweep pins the campaign-like render entry the same
+// way: an allocating frame sweep fails, and so does a smoke run without it.
+func TestGateCoversRenderSweep(t *testing.T) {
+	checkZeroAllocEntry(t, "BenchmarkRenderSweep-4          200       433504 ns/op         4 B/op       0 allocs/op", "BenchmarkRenderSweep")
+}
+
+// checkZeroAllocEntry asserts that the gate names and fails the zero-alloc
+// benchmark on the fixture line when it reports 2 allocs/op, and when the
+// line is missing.
+func checkZeroAllocEntry(t *testing.T, line, name string) {
+	t.Helper()
+	if !strings.Contains(goodBench, line) {
+		t.Fatalf("fixture drifted: %s line not found", name)
+	}
+	allocating := strings.Replace(goodBench, line, strings.Replace(line, " 0 allocs/op", " 2 allocs/op", 1), 1)
+	if err, out := gate(t, allocating, baselineJSON, 0.10); err == nil || !strings.Contains(out, name+": 2 allocs/op") {
+		t.Errorf("allocating %s passed the gate or went unnamed:\n%s", name, out)
+	}
+	missing := strings.Replace(goodBench, line+"\n", "", 1)
+	if err, out := gate(t, missing, baselineJSON, 0.10); err == nil || !strings.Contains(out, name+": missing") {
+		t.Errorf("missing %s passed the gate or went unnamed:\n%s", name, out)
 	}
 }
 
