@@ -124,15 +124,13 @@ const (
 type noiseLattice struct {
 	seed int64
 	// x0, y0 are the lattice coordinates of the table's first point; the
-	// table is w points wide. cell[j*w+i] holds the hashes of the points
-	// (i,j), (i+1,j), (i,j+1) and (i+1,j+1) relative to (x0, y0): the
-	// corners of one cell, valid for 0 <= i < maxI and 0 <= j < maxJ.
+	// table is w points wide. hash[j*w+i] holds the hash of the point
+	// (x0+i, y0+j); the cells whose lower-left point has 0 <= i < maxI and
+	// 0 <= j < maxJ have all four corners in the table.
 	x0, y0     float64
 	maxI, maxJ float64
 	w          int
-	cell       [][4]float64
-	// hash is fill's working buffer: the table's points, row-major.
-	hash []float64
+	hash       []float64
 }
 
 // latticePad widens a frame's table past its corner-pixel footprint, in
@@ -167,11 +165,10 @@ func (l *noiseLattice) fill(seed int64, scale, minX, minY, maxX, maxY float64, l
 	if cap(l.hash) < w*h {
 		// The point count moves with the footprint's alignment to the
 		// lattice and with altitude; headroom keeps a camera that moves
-		// at a steady altitude from regrowing its tables.
+		// at a steady altitude from regrowing its table.
 		l.hash = make([]float64, w*h, (w+4)*(h+4))
-		l.cell = make([][4]float64, w*h, (w+4)*(h+4))
 	}
-	l.hash, l.cell = l.hash[:w*h], l.cell[:w*h]
+	l.hash = l.hash[:w*h]
 	for j := 0; j < h; j++ {
 		y := y0 + float64(j)
 		row := l.hash[j*w : (j+1)*w]
@@ -179,40 +176,39 @@ func (l *noiseLattice) fill(seed int64, scale, minX, minY, maxX, maxY float64, l
 			row[i] = latticeHash(x0+float64(i), y, seed)
 		}
 	}
-	for k := 0; k+w+1 < w*h; k++ {
-		l.cell[k] = [4]float64{l.hash[k], l.hash[k+1], l.hash[k+w], l.hash[k+w+1]}
-	}
 	l.x0, l.y0, l.maxI, l.maxJ, l.w = x0, y0, nx-1, ny-1, w
 }
 
-// cellAt returns the corner hashes of the cell whose lower-left lattice
-// point is (x0, y0), both floors, or nil when the table does not hold it.
-// The offsets are exact for every cell the test admits; NaN fails it.
-func (l *noiseLattice) cellAt(x0, y0 float64) *[4]float64 {
+// cellAt returns the index in hash of the lower-left corner of the cell
+// whose lower-left lattice point is (x0, y0), both floors, or -1 when the
+// table does not hold the cell. The offsets are exact for every cell the
+// test admits; NaN fails it.
+func (l *noiseLattice) cellAt(x0, y0 float64) int {
 	i, j := x0-l.x0, y0-l.y0
 	if i >= 0 && i < l.maxI && j >= 0 && j < l.maxJ {
-		return &l.cell[int(j)*l.w+int(i)]
+		return int(j)*l.w + int(i)
 	}
-	return nil
+	return -1
 }
 
 // at returns valueNoise(x, y, l.seed), reading the corner hashes from the
 // table when it holds the cell.
 func (l *noiseLattice) at(x, y float64) float64 {
 	x0, y0 := floorIn(x), floorIn(y)
-	if c := l.cellAt(x0, y0); c != nil {
-		return lerpCell(c, x-x0, y-y0)
+	if k := l.cellAt(x0, y0); k >= 0 {
+		return lerpCell(l.hash, k, l.w, x-x0, y-y0)
 	}
 	return valueNoise(x, y, l.seed)
 }
 
-// lerpCell is valueNoise's blend of a cell's corner hashes c (ordered as
-// noiseLattice.cell) at the offset (fx, fy) inside the cell.
-func lerpCell(c *[4]float64, fx, fy float64) float64 {
+// lerpCell is valueNoise's blend, at the offset (fx, fy) inside one cell,
+// of the cell's corner hashes in a table h that is w points wide: h[k] and
+// h[k+1] on the cell's lower row, h[k+w] and h[k+w+1] on its upper row.
+func lerpCell(h []float64, k, w int, fx, fy float64) float64 {
 	sx := fx * fx * (3 - 2*fx)
 	sy := fy * fy * (3 - 2*fy)
-	top := c[0]*(1-sx) + c[1]*sx
-	bot := c[2]*(1-sx) + c[3]*sx
+	top := h[k]*(1-sx) + h[k+1]*sx
+	bot := h[k+w]*(1-sx) + h[k+w+1]*sx
 	return top*(1-sy) + bot*sy
 }
 

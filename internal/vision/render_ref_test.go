@@ -8,16 +8,15 @@ import (
 	"repro/internal/geom"
 )
 
-// renderReference is the per-pixel renderer the optimized RenderInto must
-// reproduce exactly: no noise lattice, no occluder cull, no hoisted
-// projection terms, fresh image.
+// renderReference is the exhaustive per-pixel renderer the optimized
+// RenderInto must reproduce exactly: no noise lattice, no occluder cull,
+// no marker-box prescreen, no hoisted projection terms, fresh image.
 func renderReference(s *Scene, cam Camera) *Image {
 	im := NewImage(cam.W, cam.H)
 	h := cam.Pos.Z
 	if h <= 0.01 {
 		return im
 	}
-	half := markerHalves(s)
 	cos, sin := math.Cos(cam.Yaw), math.Sin(cam.Yaw)
 	cw, ch := float64(cam.W)/2, float64(cam.H)/2
 	for py := 0; py < cam.H; py++ {
@@ -28,7 +27,7 @@ func renderReference(s *Scene, cam Camera) *Image {
 			dy := lx*sin + ly*cos
 			gx := cam.Pos.X + dx*h
 			gy := cam.Pos.Y + dy*h
-			im.Pix[py*cam.W+px] = referencePixel(s, half, gx, gy, h, s.Ground.At(gx, gy))
+			im.Pix[py*cam.W+px] = referencePixel(s, gx, gy, h, s.Ground.At(gx, gy))
 		}
 	}
 	return im
@@ -36,37 +35,26 @@ func renderReference(s *Scene, cam Camera) *Image {
 
 // referencePixel shades one pixel whose vertical ray meets the ground at
 // (gx, gy) from altitude h: the occluder's albedo when one is below the
-// camera, else the first marker containing the point, else ground. A
-// marker is tested only inside its ground bounding box (half is its
-// half-side, from markerHalves), as the renderer always has: containment
-// alone would claim a non-finite point for the first marker.
-func referencePixel(s *Scene, half []float64, gx, gy, h, ground float64) float64 {
+// camera, else the first marker containing the point, else ground. Every
+// marker is tested for containment, except that a point with an infinite
+// coordinate lies on no pad: a pad is bounded, but ContainsGround's
+// arithmetic turns the infinity into NaN and would claim the point.
+func referencePixel(s *Scene, gx, gy, h, ground float64) float64 {
 	if s.OccluderAt != nil {
 		if alb, top, blocked := s.OccluderAt(gx, gy); blocked && top < h {
 			return alb
 		}
 	}
+	if math.IsInf(gx, 0) || math.IsInf(gy, 0) {
+		return ground
+	}
 	p := geom.V3(gx, gy, 0)
-	for i, m := range s.Markers {
-		c := m.Center
-		if gx < c.X-half[i] || gx > c.X+half[i] || gy < c.Y-half[i] || gy > c.Y+half[i] {
-			continue
-		}
+	for _, m := range s.Markers {
 		if u, v, ok := m.ContainsGround(p); ok {
 			return m.Marker.PatternAt(u, v)
 		}
 	}
 	return ground
-}
-
-// markerHalves returns the half-side of each marker's axis-aligned ground
-// bounding box.
-func markerHalves(s *Scene) []float64 {
-	half := make([]float64, len(s.Markers))
-	for i, m := range s.Markers {
-		half[i] = (math.Abs(math.Cos(m.Yaw)) + math.Abs(math.Sin(m.Yaw))) * m.Size / 2
-	}
-	return half
 }
 
 // renderFastReference is the FastGround renderer the optimized RenderInto
@@ -80,7 +68,6 @@ func renderFastReference(s *Scene, cam Camera) *Image {
 	if h <= 0.01 {
 		return im
 	}
-	half := markerHalves(s)
 	cos, sin := math.Cos(cam.Yaw), math.Sin(cam.Yaw)
 	cw, ch := float64(cam.W)/2, float64(cam.H)/2
 	const strideX = 4
@@ -128,7 +115,7 @@ func renderFastReference(s *Scene, cam Camera) *Image {
 		gx := cam.Pos.X + (lx*cos-ly*sin)*h
 		gy := cam.Pos.Y + (lx*sin+ly*cos)*h
 		for px := 0; px < cam.W; px++ {
-			im.Pix[py*cam.W+px] = referencePixel(s, half, gx, gy, h, gRow[px])
+			im.Pix[py*cam.W+px] = referencePixel(s, gx, gy, h, gRow[px])
 			gx += stepX
 			gy += stepY
 		}

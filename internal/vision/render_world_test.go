@@ -1,6 +1,7 @@
 package vision_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,8 +92,9 @@ func sameBits(t *testing.T, what string, got, want *vision.Image) {
 // projection, the tile-level occluder cull, the marker-box prescreen and
 // buffer reuse leave every pixel bit-identical to the exhaustive reference
 // renderers, exact and FastGround alike. It flies 240 frames over the ten
-// worldgen maps, plus non-finite and huge poses over every map and the
-// synthetic reference scene, and checks that the flight really covers
+// worldgen maps and 30 over the synthetic reference scene's overlapping
+// markers, plus non-finite and huge poses over every map and the
+// synthetic scene, and checks that the flight really covers
 // roofs, canopies, water, negative-coordinate footprints and partly
 // culled frames.
 func TestRenderIntoMatchesReference(t *testing.T) {
@@ -162,12 +164,22 @@ func TestRenderIntoMatchesReference(t *testing.T) {
 			check("map "+sc.Map.Name+" non-finite pose", s, cam)
 		}
 	}
+	// The synthetic scene's markers overlap near the origin (in the
+	// worldgen maps only an occasional decoy pair does), so most of its
+	// frames check that the first containing marker wins.
 	s := vision.RefScene()
+	refRng := rand.New(rand.NewSource(4))
+	for frame := 0; frame < 30; frame++ {
+		cam := vision.DefaultCamera()
+		cam.Pos = geom.V3((refRng.Float64()-0.5)*16, (refRng.Float64()-0.5)*16, 2+refRng.Float64()*20)
+		cam.Yaw = refRng.Float64() * 2 * math.Pi
+		check(fmt.Sprintf("reference scene frame %d", frame), s, cam)
+	}
 	for _, z := range append([]float64{0.02, 6, 45}, nonFinitePoses...) {
 		cam := vision.DefaultCamera()
 		cam.Pos = geom.V3(-1.5, 0.5, z)
 		cam.Yaw = -0.8
-		check("reference scene", s, cam)
+		check(fmt.Sprintf("reference scene z=%v", z), s, cam)
 	}
 
 	if frames < 200 {
