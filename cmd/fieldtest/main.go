@@ -23,10 +23,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 
 	"repro/internal/campaign"
 	"repro/internal/catalog"
@@ -117,10 +121,6 @@ func main() {
 	report := cf.Execute("fieldtest", spec, opts)
 
 	results := report.Results
-	var series []hil.Sample
-	if len(mons) > 0 && mons[0] != nil {
-		series = mons[0].Samples()
-	}
 	var meanCPU, meanMem float64
 	count := 0
 	for _, mon := range mons {
@@ -183,35 +183,56 @@ func main() {
 		}
 	}
 
+	mon0 := mons[0] // nil when flight 0 was replayed from the journal
 	if *resources {
 		fmt.Println("\nFig. 7 — per-second resource series of flight 0")
-		fmt.Printf("%6s %8s %8s %8s %8s %8s %10s\n", "t", "core0", "core1", "core2", "core3", "cpu%", "memMB")
-		for _, s := range series {
-			fmt.Printf("%6.0f %7.0f%% %7.0f%% %7.0f%% %7.0f%% %7.0f%% %10.0f\n",
-				s.T, s.PerCore[0], s.PerCore[1], s.PerCore[2], s.PerCore[3], s.CPUPercent, s.MemMB)
+		if mon0 == nil {
+			fmt.Println("  " + errNoSeries.Error())
+		} else {
+			fmt.Printf("%6s %8s %8s %8s %8s %8s %10s\n", "t", "core0", "core1", "core2", "core3", "cpu%", "memMB")
+			for _, s := range mon0.Samples() {
+				fmt.Printf("%6.0f %7.0f%% %7.0f%% %7.0f%% %7.0f%% %7.0f%% %10.0f\n",
+					s.T, s.PerCore[0], s.PerCore[1], s.PerCore[2], s.PerCore[3], s.CPUPercent, s.MemMB)
+			}
 		}
 	}
 
 	if *csvPath != "" {
-		cpu := &telemetry.Series{Name: "cpu_percent"}
-		mem := &telemetry.Series{Name: "mem_mb"}
-		for _, s := range series {
-			cpu.Add(s.T, s.CPUPercent)
-			mem.Add(s.T, s.MemMB)
-		}
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fieldtest:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := telemetry.WriteSeriesCSV(f, cpu, mem); err != nil {
-			fmt.Fprintln(os.Stderr, "fieldtest:", err)
-			os.Exit(1)
+		if err := writeSeriesFile(*csvPath, mon0); err != nil {
+			cliutil.Fatal("fieldtest", 1, err)
 		}
 		fmt.Printf("\nFig. 7 series written to %s\n", *csvPath)
 	}
 	dumpMetrics(cf)
+}
+
+var errNoSeries = errors.New("flight 0 was replayed from the checkpoint journal, so its Fig. 7 series was not recorded in this run")
+
+// writeSeriesFile writes flight 0's Fig. 7 series to path as CSV. It
+// refuses, writing nothing, when the flight has no monitor (errNoSeries):
+// a header-only file would pass for a recorded series.
+func writeSeriesFile(path string, mon *hil.Monitor) error {
+	if mon == nil {
+		return fmt.Errorf("-csv %s: %w", path, errNoSeries)
+	}
+	return os.WriteFile(path, seriesCSV(mon.Samples()), 0o666)
+}
+
+// seriesCSV renders Fig. 7 samples as CSV rows t, cpu_percent, mem_mb:
+// time with 2 decimals, the two levels with 3.
+func seriesCSV(samples []hil.Sample) []byte {
+	var b bytes.Buffer
+	cw := csv.NewWriter(&b)
+	cw.Write([]string{"t", "cpu_percent", "mem_mb"})
+	for _, s := range samples {
+		cw.Write([]string{
+			strconv.FormatFloat(s.T, 'f', 2, 64),
+			strconv.FormatFloat(s.CPUPercent, 'f', 3, 64),
+			strconv.FormatFloat(s.MemMB, 'f', 3, 64),
+		})
+	}
+	cw.Flush()
+	return b.Bytes()
 }
 
 // printAggregates is the report of -serve and -merge: every row the

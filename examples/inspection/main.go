@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -120,5 +121,5 @@ func main() {
 	fmt.Println()
 }
 
-func cos(a float64) float64 { return geom.QuatYaw(a).Rotate(geom.V3(1, 0, 0)).X }
-func sin(a float64) float64 { return geom.QuatYaw(a).Rotate(geom.V3(1, 0, 0)).Y }
+func cos(a float64) float64 { return math.Cos(a) }
+func sin(a float64) float64 { return math.Sin(a) }

@@ -243,9 +243,6 @@ func (j *Journal) Len() int {
 	return len(j.completed)
 }
 
-// Total returns the campaign's run count.
-func (j *Journal) Total() int { return j.total }
-
 // Completed returns the persisted result for run index i, if any.
 func (j *Journal) Completed(i int) (scenario.Result, bool) {
 	j.mu.Lock()

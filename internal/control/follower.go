@@ -73,11 +73,6 @@ func (f *Follower) Command(dt float64, est Estimate) geom.Vec3 {
 	return cmd.ClampLen(f.Cfg.MaxSpeed)
 }
 
-// Progress returns trajectory time consumed and total duration.
-func (f *Follower) Progress() (t, duration float64) {
-	return f.t, f.traj.Duration()
-}
-
 // Target returns the current position setpoint.
 func (f *Follower) Target() geom.Vec3 {
 	p, _ := f.traj.Sample(f.t)

@@ -30,9 +30,6 @@ type Config struct {
 	// MinLease/MaxLease clamp the adaptive lease size (runs per lease).
 	// Zero means defaults (1 and 512).
 	MinLease, MaxLease int
-	// DisableAffinity switches the scheduler from cell-affine placement to
-	// uniformly random free-segment choice — the A/B baseline.
-	DisableAffinity bool
 	// Log, when non-nil, receives coordinator progress lines.
 	Log func(format string, args ...any)
 }
@@ -83,7 +80,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		now:      time.Now,
 		done:     make(chan struct{}),
 	}
-	c.sched = newScheduler(m.Runs(), m.IsDone, cfg.LeaseTTL, cfg.MinLease, cfg.MaxLease, !cfg.DisableAffinity)
+	c.sched = newScheduler(m.Runs(), m.IsDone, cfg.LeaseTTL, cfg.MinLease, cfg.MaxLease, true)
 	c.sched.instrument = true
 	c.start = c.now()
 	return c, nil

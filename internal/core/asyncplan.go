@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/control"
 	"repro/internal/detect"
 	"repro/internal/geom"
@@ -107,12 +105,12 @@ const (
 )
 
 // DeliverPlan completes a staged request: deferred map writes flush first,
-// then the delivered path goes through exactly the acceptance logic of
-// inline planTo — the bbox safety validation, the generation's fallback
-// behavior — unless the decision layer changed state while the plan was in
-// flight, in which case the plan is stale and dropped (the active state
-// re-requests on its next tick). The returned disposition says which of
-// those paths the delivery took.
+// then the delivered path goes through acceptPlan, the acceptance logic
+// inline planTo uses — the bbox safety validation, the generation's
+// fallback behavior — unless the decision layer changed state while the
+// plan was in flight, in which case the plan is stale and dropped (the
+// active state re-requests on its next tick). The returned disposition
+// says which of those paths the delivery took.
 func (s *System) DeliverPlan(path []geom.Vec3, err error) PlanDelivery {
 	if !s.planPending {
 		return PlanIdle
@@ -122,29 +120,7 @@ func (s *System) DeliverPlan(path []geom.Vec3, err error) PlanDelivery {
 	if s.state != s.planState {
 		return PlanStale
 	}
-	s.flyingFallback = false
-	if err == nil && s.cfg.BBoxSafetyMargin > 0 && s.deps.LocalMap != nil {
-		if s.bboxSwallowedFraction(path) > 0.22 {
-			err = planning.ErrNoPath
-		}
-	}
-	disp := PlanApplied
-	if err != nil {
-		s.stats.PlanFailures++
-		switch s.cfg.Fallback {
-		case FallbackStraight:
-			s.stats.PlanFallbacks++
-			s.flyingFallback = true
-			path = []geom.Vec3{s.est.Current().Pos, s.planGoal}
-			disp = PlanFallback
-		case FallbackFailsafe:
-			s.enterFailsafe("planning failed: " + err.Error())
-			return PlanFailsafe
-		}
-	}
-	s.stats.Replans++
-	s.fol.SetTrajectory(planning.BuildTrajectory(path, s.cfg.Trajectory))
-	return disp
+	return s.acceptPlan(path, err, s.est.Current().Pos, s.planGoal)
 }
 
 // AbandonPlan discards a pending request without applying its result (the
@@ -174,22 +150,7 @@ func (s *System) deferMapWrites(in SensorEpoch, est control.Estimate) {
 	op.recenter = false
 	// Transform with the capture-tick pose belief, like integrateDepth.
 	op.pos = s.pastEstimate(in.LagTicks).Pos
-	op.ends = op.ends[:0]
-	op.hits = op.hits[:0]
-	cy, sy := math.Cos(in.DepthYaw), math.Sin(in.DepthYaw)
-	par := s.nextCloudParity()
-	for i, d := range in.Depth {
-		if par >= 0 && !d.Hit && i&1 != par {
-			continue
-		}
-		w := geom.V3(
-			d.P.X*cy-d.P.Y*sy,
-			d.P.X*sy+d.P.Y*cy,
-			d.P.Z,
-		).Add(op.pos)
-		op.ends = append(op.ends, w)
-		op.hits = append(op.hits, d.Hit)
-	}
+	op.ends, op.hits = s.worldCloud(op.ends[:0], op.hits[:0], in, op.pos)
 }
 
 // nextCloudParity advances the capture counter and returns the miss-ray

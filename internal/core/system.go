@@ -65,9 +65,8 @@ type System struct {
 
 	// detTap, when non-nil, filters or augments every frame's detector
 	// output before it reaches the decision layer — the fault-injection
-	// hook for missed and phantom detections. It runs inside Step for
-	// every runner mode (inline frames and pipelined precomputed
-	// detections alike), so a fault campaign corrupts both identically.
+	// hook for missed and phantom detections. It runs inside Step on
+	// every delivered frame, whatever stage computed the detections.
 	detTap func([]detect.Detection) []detect.Detection
 
 	// lastClearPos is the most recent estimate position outside every
@@ -157,10 +156,9 @@ func (s *System) Clock() float64 { return s.t }
 // Map exposes the occupancy map for visualization and analysis tools.
 func (s *System) Map() mapping.Map { return s.deps.Map }
 
-// Detector exposes the detection module so a pipelined runner can invoke
-// inference off the control loop. While a pipelined mission is in flight
-// the perception stage is the detector's only caller: epochs carry
-// precomputed Detections, so Step never reaches it concurrently.
+// Detector exposes the detection module so the runner can invoke
+// inference: epochs carry its Detections, and Step never calls the
+// detector, so the perception stage is its only caller.
 func (s *System) Detector() detect.Detector { return s.deps.Detector }
 
 // SetDetectionTap installs (or clears, with nil) the detection fault hook:
@@ -304,13 +302,21 @@ func (s *System) integrateDepth(in SensorEpoch, est control.Estimate) {
 		return
 	}
 	capPos := s.pastEstimate(in.LagTicks).Pos
-	cy, sy := math.Cos(in.DepthYaw), math.Sin(in.DepthYaw)
 	if cap(s.cloudEnds) < len(in.Depth) {
 		s.cloudEnds = make([]geom.Vec3, 0, len(in.Depth))
 		s.cloudHits = make([]bool, 0, len(in.Depth))
 	}
-	s.cloudEnds = s.cloudEnds[:0]
-	s.cloudHits = s.cloudHits[:0]
+	s.cloudEnds, s.cloudHits = s.worldCloud(s.cloudEnds[:0], s.cloudHits[:0], in, capPos)
+	s.deps.Map.InsertCloud(capPos, s.cloudEnds, s.cloudHits)
+}
+
+// worldCloud appends in's depth returns to ends and hits, rotated from
+// the body frame by the capture yaw and translated to capPos, keeping the
+// miss rays this capture's parity selects (nextCloudParity). Inline
+// integration and the deferred writes of a staged plan both build their
+// clouds here.
+func (s *System) worldCloud(ends []geom.Vec3, hits []bool, in SensorEpoch, capPos geom.Vec3) ([]geom.Vec3, []bool) {
+	cy, sy := math.Cos(in.DepthYaw), math.Sin(in.DepthYaw)
 	par := s.nextCloudParity()
 	for i, d := range in.Depth {
 		if par >= 0 && !d.Hit && i&1 != par {
@@ -321,25 +327,20 @@ func (s *System) integrateDepth(in SensorEpoch, est control.Estimate) {
 			d.P.X*sy+d.P.Y*cy,
 			d.P.Z,
 		).Add(capPos)
-		s.cloudEnds = append(s.cloudEnds, w)
-		s.cloudHits = append(s.cloudHits, d.Hit)
+		ends = append(ends, w)
+		hits = append(hits, d.Hit)
 	}
-	s.deps.Map.InsertCloud(capPos, s.cloudEnds, s.cloudHits)
+	return ends, hits
 }
 
-// processFrame runs detection on a new camera frame — or consumes the
-// detections a pipelined perception stage already computed for it — and
-// routes accepted target sightings into the state machine.
+// processFrame consumes the detections the perception stage computed for
+// a new camera frame and routes accepted target sightings into the state
+// machine.
 func (s *System) processFrame(in SensorEpoch, est control.Estimate) {
-	var dets []detect.Detection
-	switch {
-	case in.HaveDetections:
-		dets = in.Detections
-	case in.Frame != nil:
-		dets = s.deps.Detector.Detect(in.Frame)
-	default:
+	if !in.HaveDetections {
 		return
 	}
+	dets := in.Detections
 	if s.detTap != nil {
 		dets = s.detTap(dets)
 	}
@@ -407,6 +408,15 @@ func (s *System) planTo(est control.Estimate, goal geom.Vec3) bool {
 	}
 	s.lastReplanT = s.t
 	path, err := s.deps.Planner.Plan(est.Pos, goal, s.deps.Map)
+	return s.acceptPlan(path, err, est.Pos, goal) != PlanFailsafe
+}
+
+// acceptPlan hands a planned path — planned inline by planTo or delivered
+// by the plan stage (DeliverPlan) — to the follower, honoring the
+// generation's fallback behavior: a failed plan flies the straight line
+// from start to goal or enters failsafe. It reports which of those
+// happened.
+func (s *System) acceptPlan(path []geom.Vec3, err error, start, goal geom.Vec3) PlanDelivery {
 	s.flyingFallback = false
 	if err == nil && s.cfg.BBoxSafetyMargin > 0 && s.deps.LocalMap != nil {
 		// V2's bounding-box safety validation: paths that pass the
@@ -417,6 +427,7 @@ func (s *System) planTo(est control.Estimate, goal geom.Vec3) bool {
 			err = planning.ErrNoPath
 		}
 	}
+	disp := PlanApplied
 	if err != nil {
 		s.stats.PlanFailures++
 		switch s.cfg.Fallback {
@@ -424,15 +435,16 @@ func (s *System) planTo(est control.Estimate, goal geom.Vec3) bool {
 			// The documented MLS-V2 behavior: fly the unsafe direct line.
 			s.stats.PlanFallbacks++
 			s.flyingFallback = true
-			path = []geom.Vec3{est.Pos, goal}
+			path = []geom.Vec3{start, goal}
+			disp = PlanFallback
 		case FallbackFailsafe:
 			s.enterFailsafe("planning failed: " + err.Error())
-			return false
+			return PlanFailsafe
 		}
 	}
 	s.stats.Replans++
 	s.fol.SetTrajectory(planning.BuildTrajectory(path, s.cfg.Trajectory))
-	return true
+	return disp
 }
 
 // bboxSwallowedFraction samples the path against the bounding-box-swollen

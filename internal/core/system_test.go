@@ -33,7 +33,9 @@ func testSystem(t *testing.T, gen Generation) *System {
 }
 
 // stepN drives the system with clean synthetic sensors at the true state
-// maintained by a trivial kinematic shadow, for n ticks.
+// maintained by a trivial kinematic shadow, for n ticks. A non-nil frame
+// goes through the system's detector and arrives as the epoch's
+// Detections, as the scenario runner's perception stage delivers it.
 func stepN(sys *System, pos *geom.Vec3, vel *geom.Vec3, n int, frame func(i int) *vision.Image) Command {
 	var cmd Command
 	const dt = 0.05
@@ -47,7 +49,10 @@ func stepN(sys *System, pos *geom.Vec3, vel *geom.Vec3, n int, frame func(i int)
 			BaroAlt:    pos.Z,
 		}
 		if frame != nil {
-			epoch.Frame = frame(i)
+			if im := frame(i); im != nil {
+				epoch.Detections = sys.Detector().Detect(im)
+				epoch.HaveDetections = true
+			}
 		}
 		cmd = sys.Step(epoch)
 		// First-order shadow vehicle.

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/detect"
 	"repro/internal/geom"
-	"repro/internal/vision"
 )
 
 // State is the decision-module state of Fig. 2.
@@ -56,8 +55,8 @@ type DepthPoint struct {
 	Hit bool
 }
 
-// SensorEpoch is everything the system receives in one control tick. Frame
-// and Depth are nil except on their capture cadences.
+// SensorEpoch is everything the system receives in one control tick.
+// Detections and Depth are empty except on their capture cadences.
 type SensorEpoch struct {
 	Dt float64
 
@@ -67,10 +66,8 @@ type SensorEpoch struct {
 	LidarOK    bool
 	BaroAlt    float64
 
-	// Frame is the downward camera image, when captured this tick.
-	Frame *vision.Image
-	// FrameYaw is the vehicle yaw at capture time (the camera rotates
-	// with the airframe).
+	// FrameYaw is the vehicle yaw when the downward camera frame behind
+	// Detections was captured (the camera rotates with the airframe).
 	FrameYaw float64
 
 	// Depth is the forward depth capture, when made this tick.
@@ -78,11 +75,11 @@ type SensorEpoch struct {
 	// DepthYaw is the vehicle yaw at capture time.
 	DepthYaw float64
 
-	// Detections, when HaveDetections is set, carries detector output for
-	// this epoch computed off the control loop (the pipelined runner): the
-	// system routes them exactly as it would its own Detector's output on
-	// Frame, which stays nil in that mode. FrameYaw still describes the
-	// capture pose the detections were made from.
+	// Detections, when HaveDetections is set, is the detector output for
+	// the camera frame delivered this epoch. The caller runs inference —
+	// the scenario runner's perception stage does, through
+	// System.Detector — so Step never calls the detector itself.
+	// HaveDetections tells a frame with no detections from no frame.
 	Detections     []detect.Detection
 	HaveDetections bool
 

@@ -13,36 +13,17 @@ func NewAABB(a, b Vec3) AABB {
 	return AABB{Min: a.Min(b), Max: a.Max(b)}
 }
 
-// AABBCenterSize returns a box given its center and full extents.
-func AABBCenterSize(center, size Vec3) AABB {
-	h := size.Scale(0.5)
-	return AABB{Min: center.Sub(h), Max: center.Add(h)}
-}
-
 // Center returns the centroid of the box.
 func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
 
 // Size returns the full extents of the box.
 func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
 
-// Volume returns the volume of the box.
-func (b AABB) Volume() float64 {
-	s := b.Size()
-	return s.X * s.Y * s.Z
-}
-
 // Contains reports whether p lies inside or on the boundary of the box.
 func (b AABB) Contains(p Vec3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
 		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Intersects reports whether the two boxes overlap (touching counts).
-func (b AABB) Intersects(o AABB) bool {
-	return b.Min.X <= o.Max.X && b.Max.X >= o.Min.X &&
-		b.Min.Y <= o.Max.Y && b.Max.Y >= o.Min.Y &&
-		b.Min.Z <= o.Max.Z && b.Max.Z >= o.Min.Z
 }
 
 // Expand returns the box grown by r in every direction.
@@ -154,15 +135,6 @@ type Cylinder struct {
 	BaseZ, TopZ float64
 }
 
-// Contains reports whether p lies inside the cylinder.
-func (c Cylinder) Contains(p Vec3) bool {
-	if p.Z < c.BaseZ || p.Z > c.TopZ {
-		return false
-	}
-	dx, dy := p.X-c.Center.X, p.Y-c.Center.Y
-	return dx*dx+dy*dy <= c.Radius*c.Radius
-}
-
 // Dist returns the distance from p to the cylinder surface, 0 if inside.
 func (c Cylinder) Dist(p Vec3) float64 {
 	dx, dy := p.X-c.Center.X, p.Y-c.Center.Y
@@ -232,23 +204,4 @@ func (c Cylinder) IntersectRay(r Ray, tmax float64) (t float64, ok bool) {
 		return 0, false
 	}
 	return best, true
-}
-
-// SegmentDistToAABB returns the minimum distance from segment ab to box b,
-// approximated by sampling; exact enough for clearance checks at the voxel
-// resolutions used by the planners.
-func SegmentDistToAABB(a, bp Vec3, box AABB, step float64) float64 {
-	l := a.Dist(bp)
-	n := int(l/step) + 1
-	best := math.Inf(1)
-	for i := 0; i <= n; i++ {
-		p := a.Lerp(bp, float64(i)/float64(n))
-		if d := box.Dist(p); d < best {
-			best = d
-			if best == 0 {
-				return 0
-			}
-		}
-	}
-	return best
 }

@@ -26,24 +26,6 @@ func TestNewAABBOrdersCorners(t *testing.T) {
 	}
 }
 
-func TestAABBIntersects(t *testing.T) {
-	a := NewAABB(V3(0, 0, 0), V3(5, 5, 5))
-	cases := []struct {
-		b    AABB
-		want bool
-	}{
-		{NewAABB(V3(4, 4, 4), V3(9, 9, 9)), true},
-		{NewAABB(V3(5, 5, 5), V3(6, 6, 6)), true}, // touching counts
-		{NewAABB(V3(6, 0, 0), V3(7, 5, 5)), false},
-		{NewAABB(V3(1, 1, 1), V3(2, 2, 2)), true}, // contained
-	}
-	for i, c := range cases {
-		if got := a.Intersects(c.b); got != c.want {
-			t.Errorf("case %d: got %v want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestAABBDistAndSphere(t *testing.T) {
 	b := NewAABB(V3(0, 0, 0), V3(2, 2, 2))
 	if d := b.Dist(V3(1, 1, 1)); d != 0 {
@@ -61,15 +43,12 @@ func TestAABBDistAndSphere(t *testing.T) {
 }
 
 func TestAABBCenterSize(t *testing.T) {
-	b := AABBCenterSize(V3(1, 2, 3), V3(4, 6, 8))
-	if b.Min != V3(-1, -1, -1) || b.Max != V3(3, 5, 7) {
-		t.Errorf("bad box %+v", b)
-	}
+	b := NewAABB(V3(-1, -1, -1), V3(3, 5, 7))
 	if b.Center() != V3(1, 2, 3) {
 		t.Errorf("center %v", b.Center())
 	}
-	if b.Volume() != 4*6*8 {
-		t.Errorf("volume %v", b.Volume())
+	if b.Size() != V3(4, 6, 8) {
+		t.Errorf("size %v", b.Size())
 	}
 }
 
@@ -125,13 +104,13 @@ func TestRayAABBRandomConsistency(t *testing.T) {
 
 func TestCylinderContainsDist(t *testing.T) {
 	c := Cylinder{Center: V2(0, 0), Radius: 2, BaseZ: 0, TopZ: 10}
-	if !c.Contains(V3(1, 1, 5)) {
-		t.Error("inside point not contained")
+	if d := c.Dist(V3(1, 1, 5)); d != 0 {
+		t.Errorf("inside point not contained: dist %v", d)
 	}
-	if c.Contains(V3(3, 0, 5)) {
+	if c.Dist(V3(3, 0, 5)) == 0 {
 		t.Error("radial outside contained")
 	}
-	if c.Contains(V3(0, 0, 11)) {
+	if c.Dist(V3(0, 0, 11)) == 0 {
 		t.Error("above top contained")
 	}
 	if d := c.Dist(V3(5, 0, 5)); math.Abs(d-3) > 1e-12 {
@@ -167,19 +146,6 @@ func TestCylinderRay(t *testing.T) {
 	b := c.Bounds()
 	if !b.Contains(r.At(4)) {
 		t.Error("bounds should contain side hit")
-	}
-}
-
-func TestSegmentDistToAABB(t *testing.T) {
-	box := NewAABB(V3(0, 0, 0), V3(1, 1, 1))
-	// Segment passing through the box.
-	if d := SegmentDistToAABB(V3(-1, 0.5, 0.5), V3(2, 0.5, 0.5), box, 0.05); d != 0 {
-		t.Errorf("through-box dist = %v", d)
-	}
-	// Segment parallel, 2 away.
-	d := SegmentDistToAABB(V3(-1, 3, 0.5), V3(2, 3, 0.5), box, 0.05)
-	if math.Abs(d-2) > 0.05 {
-		t.Errorf("parallel dist = %v, want ~2", d)
 	}
 }
 

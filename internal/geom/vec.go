@@ -1,11 +1,12 @@
 // Package geom provides the small linear-algebra and solid-geometry kernel
-// shared by the simulator, mapping, and planning modules: 3-D vectors,
-// quaternions, axis-aligned boxes, rays, and the intersection predicates the
-// collision and sensing code paths need.
+// shared by the simulator, mapping, and planning modules: 3-D and 2-D
+// vectors, axis-aligned boxes, vertical cylinders, rays, and the
+// intersection predicates the collision and sensing code paths need.
+// Rotations are yaw-only (the airframe and its cameras turn about +Z), so
+// callers apply them with math.Cos and math.Sin directly.
 //
 // All types are plain values; the zero value of every type is meaningful
-// (zero vector, identity-adjacent quaternion handling is explicit via
-// QuatIdent) and no function in this package panics on finite inputs.
+// and no function in this package panics on finite inputs.
 package geom
 
 import (
@@ -30,20 +31,8 @@ func (v Vec3) Sub(o Vec3) Vec3 { return Vec3{v.X - o.X, v.Y - o.Y, v.Z - o.Z} }
 // Scale returns v scaled by s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
-// Neg returns -v.
-func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
-
 // Dot returns the dot product v · o.
 func (v Vec3) Dot(o Vec3) float64 { return v.X*o.X + v.Y*o.Y + v.Z*o.Z }
-
-// Cross returns the cross product v × o.
-func (v Vec3) Cross(o Vec3) Vec3 {
-	return Vec3{
-		X: v.Y*o.Z - v.Z*o.Y,
-		Y: v.Z*o.X - v.X*o.Z,
-		Z: v.X*o.Y - v.Y*o.X,
-	}
-}
 
 // Len returns the Euclidean norm of v.
 func (v Vec3) Len() float64 { return math.Sqrt(v.Dot(v)) }
@@ -116,11 +105,6 @@ func (v Vec3) Max(o Vec3) Vec3 {
 	return Vec3{math.Max(v.X, o.X), math.Max(v.Y, o.Y), math.Max(v.Z, o.Z)}
 }
 
-// Mul returns the component-wise (Hadamard) product of v and o.
-func (v Vec3) Mul(o Vec3) Vec3 {
-	return Vec3{v.X * o.X, v.Y * o.Y, v.Z * o.Z}
-}
-
 // IsFinite reports whether every component of v is finite.
 func (v Vec3) IsFinite() bool {
 	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
@@ -160,26 +144,14 @@ type Vec2 struct {
 // V2 is shorthand for constructing a Vec2.
 func V2(x, y float64) Vec2 { return Vec2{X: x, Y: y} }
 
-// Add returns v + o.
-func (v Vec2) Add(o Vec2) Vec2 { return Vec2{v.X + o.X, v.Y + o.Y} }
-
 // Sub returns v - o.
 func (v Vec2) Sub(o Vec2) Vec2 { return Vec2{v.X - o.X, v.Y - o.Y} }
-
-// Scale returns v scaled by s.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
 // Len returns the Euclidean norm of v.
 func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
 
 // Dist returns the Euclidean distance between v and o.
 func (v Vec2) Dist(o Vec2) float64 { return v.Sub(o).Len() }
-
-// Dot returns the dot product v · o.
-func (v Vec2) Dot(o Vec2) float64 { return v.X*o.X + v.Y*o.Y }
-
-// Cross returns the scalar (z-component) cross product of v and o.
-func (v Vec2) Cross(o Vec2) float64 { return v.X*o.Y - v.Y*o.X }
 
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {

@@ -61,7 +61,6 @@ func TestDenseGridInsertCloud(t *testing.T) {
 // nothing is ever blocked.
 func TestNullMapInserts(t *testing.T) {
 	var m NullMap
-	m.InsertRay(geom.V3(0, 0, 5), geom.V3(4, 0, 5), true)
 	m.InsertCloud(geom.V3(0, 0, 5), []geom.Vec3{geom.V3(4, 0, 5)}, []bool{true})
 	if m.Blocked(geom.V3(4, 0, 5)) {
 		t.Fatal("NullMap blocked a voxel")

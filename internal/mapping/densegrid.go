@@ -73,7 +73,9 @@ func (g *DenseGrid) Blocked(p geom.Vec3) bool {
 	return g.inflated[i]
 }
 
-// InsertRay implements Map.
+// InsertRay integrates one depth return: the cells along the segment from
+// origin to end are observed free; the end cell is observed occupied when
+// hit is true (a surface return) and free otherwise (a max-range miss).
 func (g *DenseGrid) InsertRay(origin, end geom.Vec3, hit bool) {
 	var w dda
 	for w.init(origin, end, g.res); w.more(); w.step() {
@@ -143,15 +145,12 @@ func (g *DenseGrid) setOccupied(p geom.Vec3) {
 // Resolution implements Map.
 func (g *DenseGrid) Resolution() float64 { return g.res }
 
-// InflationRadius implements Map.
-func (g *DenseGrid) InflationRadius() float64 { return g.inflation }
-
 // MemoryBytes implements Map.
 func (g *DenseGrid) MemoryBytes() int {
 	return len(g.cells)*1 + len(g.inflated)*1
 }
 
-// OccupiedVoxels implements Map.
+// OccupiedVoxels returns the number of voxels currently occupied.
 func (g *DenseGrid) OccupiedVoxels() int { return g.occupied }
 
 var _ Map = (*DenseGrid)(nil)

@@ -16,10 +16,9 @@ import (
 // data self-invalidates. Blocked queries hit a reference-counted inflation
 // layer maintained incrementally, exactly like the octree's.
 type LocalGrid struct {
-	res       float64
-	inflation float64
-	half      geom.Vec3 // window half-extents in meters
-	center    geom.Vec3
+	res    float64
+	half   geom.Vec3 // window half-extents in meters
+	center geom.Vec3
 
 	nx, ny, nz int
 	keys       []voxelKey
@@ -40,10 +39,9 @@ func NewLocalGrid(extents geom.Vec3, res, inflation float64) *LocalGrid {
 	ny := int(extents.Y/res) + 1
 	nz := int(extents.Z/res) + 1
 	return &LocalGrid{
-		res:       res,
-		inflation: inflation,
-		half:      extents.Scale(0.5),
-		nx:        nx, ny: ny, nz: nz,
+		res:  res,
+		half: extents.Scale(0.5),
+		nx:   nx, ny: ny, nz: nz,
 		keys:     make([]voxelKey, nx*ny*nz),
 		states:   make([]VoxelState, nx*ny*nz),
 		occupied: newVoxelTable(1024),
@@ -133,7 +131,9 @@ func (g *LocalGrid) Blocked(p geom.Vec3) bool {
 	return g.inflated.has(voxelOf(p, g.res))
 }
 
-// InsertRay implements Map.
+// InsertRay integrates one depth return: the cells along the segment from
+// origin to end are observed free; the end cell is observed occupied when
+// hit is true (a surface return) and free otherwise (a max-range miss).
 func (g *LocalGrid) InsertRay(origin, end geom.Vec3, hit bool) {
 	var w dda
 	for w.init(origin, end, g.res); w.more(); w.step() {
@@ -226,15 +226,12 @@ func (g *LocalGrid) BlockedWithin(p geom.Vec3, rh, rv float64) bool {
 // Resolution implements Map.
 func (g *LocalGrid) Resolution() float64 { return g.res }
 
-// InflationRadius implements Map.
-func (g *LocalGrid) InflationRadius() float64 { return g.inflation }
-
 // MemoryBytes implements Map.
 func (g *LocalGrid) MemoryBytes() int {
 	return len(g.keys)*8 + len(g.states) + g.occupied.n*16 + g.inflated.n*20
 }
 
-// OccupiedVoxels implements Map.
+// OccupiedVoxels returns the number of voxels currently occupied.
 func (g *LocalGrid) OccupiedVoxels() int { return g.occupied.n }
 
 var _ Map = (*LocalGrid)(nil)

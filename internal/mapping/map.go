@@ -9,9 +9,10 @@
 //   - Octree: the OctoMap-style probabilistic octree MLS-V3 adopts — global
 //     persistence, log-odds sensor fusion, and hierarchical compression.
 //
-// All maps share the Map interface consumed by the planners, including a
-// configured inflation radius so "blocked" queries reflect the vehicle's
-// physical extent (paper Fig. 6).
+// All maps share the Map interface consumed by the planners and the
+// decision layer. Each map inflates its occupied voxels by a radius fixed
+// at construction, so "blocked" queries reflect the vehicle's physical
+// extent (paper Fig. 6).
 package mapping
 
 import "repro/internal/geom"
@@ -26,31 +27,23 @@ const (
 	Occupied
 )
 
-// Map is the occupancy interface the planners and the decision layer use.
+// Map is the occupancy interface the planners and the decision layer use:
+// the system fuses whole depth captures and asks occupancy questions.
 type Map interface {
 	// State returns the tri-state occupancy of the voxel containing p.
 	State(p geom.Vec3) VoxelState
-	// Blocked reports whether p lies within the configured inflation
-	// radius of any occupied voxel. Planners must use this, not State,
-	// for clearance decisions.
+	// Blocked reports whether p lies within the map's inflation radius of
+	// any occupied voxel. Planners must use this, not State, for
+	// clearance decisions.
 	Blocked(p geom.Vec3) bool
-	// InsertRay integrates one depth return: the cells along the segment
-	// from origin to end are observed free; the end cell is observed
-	// occupied when hit is true (a surface return) and free otherwise
-	// (a max-range miss).
-	InsertRay(origin, end geom.Vec3, hit bool)
 	// InsertCloud integrates one full depth capture, deduplicating voxel
 	// updates across rays the way OctoMap integrates scans: every voxel
 	// touched by the capture receives at most one miss and one hit update.
 	InsertCloud(origin geom.Vec3, ends []geom.Vec3, hits []bool)
 	// Resolution returns the voxel edge length in meters.
 	Resolution() float64
-	// InflationRadius returns the configured obstacle inflation radius.
-	InflationRadius() float64
 	// MemoryBytes estimates the current heap footprint of the map data.
 	MemoryBytes() int
-	// OccupiedVoxels returns the number of voxels currently occupied.
-	OccupiedVoxels() int
 }
 
 // voxelKey packs quantized voxel coordinates into a single map key.
@@ -98,23 +91,14 @@ func (NullMap) State(geom.Vec3) VoxelState { return Unknown }
 // Blocked implements Map: nothing is ever blocked.
 func (NullMap) Blocked(geom.Vec3) bool { return false }
 
-// InsertRay implements Map as a no-op.
-func (NullMap) InsertRay(_, _ geom.Vec3, _ bool) {}
-
 // InsertCloud implements Map as a no-op.
 func (NullMap) InsertCloud(_ geom.Vec3, _ []geom.Vec3, _ []bool) {}
 
 // Resolution implements Map.
 func (NullMap) Resolution() float64 { return 1 }
 
-// InflationRadius implements Map.
-func (NullMap) InflationRadius() float64 { return 0 }
-
 // MemoryBytes implements Map.
 func (NullMap) MemoryBytes() int { return 0 }
-
-// OccupiedVoxels implements Map.
-func (NullMap) OccupiedVoxels() int { return 0 }
 
 var _ Map = NullMap{}
 

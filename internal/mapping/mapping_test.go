@@ -113,19 +113,19 @@ func TestWalkRayZeroLength(t *testing.T) {
 
 func TestNullMap(t *testing.T) {
 	var m NullMap
-	m.InsertRay(geom.V3(0, 0, 5), geom.V3(1, 0, 0), true)
+	m.InsertCloud(geom.V3(0, 0, 5), []geom.Vec3{geom.V3(1, 0, 0)}, []bool{true})
 	if m.State(geom.V3(1, 0, 0)) != Unknown {
 		t.Error("null map should stay unknown")
 	}
 	if m.Blocked(geom.V3(1, 0, 0)) {
 		t.Error("null map should never block")
 	}
-	if m.OccupiedVoxels() != 0 || m.MemoryBytes() != 0 {
+	if m.MemoryBytes() != 0 {
 		t.Error("null map accounting")
 	}
 }
 
-func insertWall(m Map, x float64) {
+func insertWall(m fusionMap, x float64) {
 	// Observe a wall at x from origin rays at z=2.
 	for y := -3.0; y <= 3.0; y += 0.25 {
 		for z := 0.25; z <= 4; z += 0.25 {
@@ -364,13 +364,9 @@ func TestInterfaceCompliance(t *testing.T) {
 		if m.Resolution() <= 0 {
 			t.Errorf("%T resolution", m)
 		}
-		if m.InflationRadius() < 0 {
-			t.Errorf("%T inflation", m)
-		}
-		m.InsertRay(geom.V3(1, 1, 1), geom.V3(2, 2, 2), true)
+		m.InsertCloud(geom.V3(1, 1, 1), []geom.Vec3{geom.V3(2, 2, 2)}, []bool{true})
 		_ = m.State(geom.V3(2, 2, 2))
 		_ = m.Blocked(geom.V3(2, 2, 2))
 		_ = m.MemoryBytes()
-		_ = m.OccupiedVoxels()
 	}
 }

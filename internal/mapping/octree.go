@@ -35,12 +35,11 @@ type octNode struct {
 // pruning of homogeneous regions, and O(1) inflated clearance queries via
 // a reference-counted inflation layer.
 type Octree struct {
-	center    geom.Vec3
-	halfSize  float64
-	res       float64
-	inflation float64
-	depth     int
-	root      *octNode
+	center   geom.Vec3
+	halfSize float64
+	res      float64
+	depth    int
+	root     *octNode
 
 	nodes       int
 	childArrays int
@@ -85,15 +84,14 @@ func NewOctree(center geom.Vec3, halfSize, res, inflation float64) *Octree {
 		math.Round(center.Z/res)*res,
 	)
 	o := &Octree{
-		center:    center,
-		halfSize:  math.Ldexp(res, depth) / 2, // snap so leaves are exactly res
-		res:       res,
-		inflation: inflation,
-		depth:     depth,
-		root:      new(octNode),
-		nodes:     1,
-		occupied:  newVoxelTable(1024),
-		inflated:  newInflationLayer(res, inflation),
+		center:   center,
+		halfSize: math.Ldexp(res, depth) / 2, // snap so leaves are exactly res
+		res:      res,
+		depth:    depth,
+		root:     new(octNode),
+		nodes:    1,
+		occupied: newVoxelTable(1024),
+		inflated: newInflationLayer(res, inflation),
 	}
 	o.finger.reset(o.root, center, o.halfSize)
 	return o
@@ -205,7 +203,9 @@ func (o *Octree) Blocked(p geom.Vec3) bool {
 	return o.inflated.has(voxelOf(p, o.res))
 }
 
-// InsertRay implements Map.
+// InsertRay integrates one depth return: the cells along the segment from
+// origin to end are observed free; the end cell is observed occupied when
+// hit is true (a surface return) and free otherwise (a max-range miss).
 func (o *Octree) InsertRay(origin, end geom.Vec3, hit bool) {
 	var w dda
 	for w.init(origin, end, o.res); w.more(); w.step() {
@@ -439,16 +439,13 @@ func (o *Octree) tryPrune(n *octNode) bool {
 // Resolution implements Map.
 func (o *Octree) Resolution() float64 { return o.res }
 
-// InflationRadius implements Map.
-func (o *Octree) InflationRadius() float64 { return o.inflation }
-
 // MemoryBytes implements Map. Node = 24 bytes (pointer + float + bool with
 // padding); child array = 64 bytes; plus the auxiliary hash layers.
 func (o *Octree) MemoryBytes() int {
 	return o.nodes*24 + o.childArrays*64 + o.occupied.n*16 + o.inflated.n*20
 }
 
-// OccupiedVoxels implements Map.
+// OccupiedVoxels returns the number of voxels currently occupied.
 func (o *Octree) OccupiedVoxels() int { return o.occupied.n }
 
 // NodeCount returns the number of allocated tree nodes (compression

@@ -16,8 +16,6 @@ import (
 func TestDefaultRegistryConveniences(t *testing.T) {
 	c := NewCounter("test_default_ops_total", "ops", "default-registry counter")
 	c.Inc()
-	g := NewGauge("test_default_level", "items", "default-registry gauge")
-	g.Set(3)
 	h := NewHistogram("test_default_lat_seconds", "s", "default-registry histogram", []float64{1})
 	h.Observe(0.5)
 	v := NewCounterVec("test_default_by_kind_total", "ops", "default-registry vec", "kind", []string{"a"})
@@ -32,7 +30,6 @@ func TestDefaultRegistryConveniences(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"test_default_ops_total 1",
-		"test_default_level 3",
 		"test_default_lat_seconds_count 1",
 		`test_default_by_kind_total{kind="a"} 1`,
 		"test_default_fn_total 9",

@@ -75,20 +75,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a settable int64 level.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the level by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Histogram is a fixed-boundary histogram: observation counts per bucket
 // plus an exact count and a float64 sum. Boundaries are set at
 // registration and never change, so Observe is a branch-free upper-bound
@@ -150,12 +136,11 @@ func (v *CounterVec) With(value string) *Counter {
 // the type implies. Exactly one of the holders is non-nil (fn serves both
 // function-backed counters and gauges).
 type metric struct {
-	desc  Desc
-	ctr   *Counter
-	gauge *Gauge
-	hist  *Histogram
-	vec   *CounterVec
-	fn    func() int64
+	desc Desc
+	ctr  *Counter
+	hist *Histogram
+	vec  *CounterVec
+	fn   func() int64
 }
 
 // Registry is a set of named metrics. The zero value is unusable; use
@@ -218,13 +203,6 @@ func (r *Registry) NewCounter(name, unit, help string) *Counter {
 	return c
 }
 
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, unit, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{desc: Desc{Name: name, Type: TypeGauge, Unit: unit, Help: help}, gauge: g})
-	return g
-}
-
 // NewHistogram registers and returns a fixed-boundary histogram. Bounds
 // are upper bucket boundaries and must be strictly ascending.
 func (r *Registry) NewHistogram(name, unit, help string, bounds []float64) *Histogram {
@@ -271,7 +249,8 @@ func (r *Registry) NewCounterFunc(name, unit, help string, fn func() int64) {
 	r.register(&metric{desc: Desc{Name: name, Type: TypeCounter, Unit: unit, Help: help}, fn: fn})
 }
 
-// NewGaugeFunc registers a gauge read through fn at snapshot time.
+// NewGaugeFunc registers a gauge read through fn at snapshot time: a
+// mirror of a level the owning subsystem already keeps.
 func (r *Registry) NewGaugeFunc(name, unit, help string, fn func() int64) {
 	r.register(&metric{desc: Desc{Name: name, Type: TypeGauge, Unit: unit, Help: help}, fn: fn})
 }
@@ -319,8 +298,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case m.ctr != nil:
 			_, err = fmt.Fprintf(w, "%s %d\n", d.Name, m.ctr.Load())
-		case m.gauge != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", d.Name, m.gauge.Load())
 		case m.fn != nil:
 			_, err = fmt.Fprintf(w, "%s %d\n", d.Name, m.fn())
 		case m.vec != nil:
@@ -366,9 +343,6 @@ func (r *Registry) Handler() http.Handler {
 
 // NewCounter registers a counter on the Default registry.
 func NewCounter(name, unit, help string) *Counter { return Default.NewCounter(name, unit, help) }
-
-// NewGauge registers a gauge on the Default registry.
-func NewGauge(name, unit, help string) *Gauge { return Default.NewGauge(name, unit, help) }
 
 // NewHistogram registers a histogram on the Default registry.
 func NewHistogram(name, unit, help string, bounds []float64) *Histogram {

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,11 +16,18 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Load(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.NewGauge("test_level", "items", "test gauge")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Load(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	var level atomic.Int64
+	r.NewGaugeFunc("test_level", "items", "test gauge", level.Load)
+	level.Store(7)
+	level.Add(-2)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE test_level gauge\n", "test_level 5\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -109,7 +117,7 @@ func TestDeterministicSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("test_b_total", "ops", "b").Add(2)
 	r.NewCounter("test_a_total", "ops", "a").Add(1)
-	r.NewGauge("test_c", "items", "c").Set(9)
+	r.NewGaugeFunc("test_c", "items", "c", func() int64 { return 9 })
 	var b1, b2 strings.Builder
 	if err := r.WritePrometheus(&b1); err != nil {
 		t.Fatal(err)
@@ -120,7 +128,8 @@ func TestDeterministicSnapshot(t *testing.T) {
 	if b1.String() != b2.String() {
 		t.Fatal("two snapshots of identical state differ")
 	}
-	if !strings.Contains(b1.String(), "test_a_total 1\n# HELP test_b_total") {
+	if !strings.Contains(b1.String(), "test_a_total 1\n# HELP test_b_total") ||
+		!strings.Contains(b1.String(), "test_b_total 2\n# HELP test_c c (unit: items)\n# TYPE test_c gauge\ntest_c 9\n") {
 		t.Fatalf("names not sorted:\n%s", b1.String())
 	}
 }
@@ -156,7 +165,8 @@ func TestRegistrationPanics(t *testing.T) {
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_ops_total", "ops", "x")
-	g := r.NewGauge("test_level", "items", "x")
+	var level atomic.Int64
+	r.NewGaugeFunc("test_level", "items", "x", level.Load)
 	h := r.NewHistogram("test_lat", "s", "x", []float64{1, 10, 100})
 	v := r.NewCounterVec("test_tag_total", "ops", "x", "tag", []string{"a", "b"})
 	const workers = 8
@@ -168,7 +178,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				level.Add(1)
 				h.Observe(float64(i % 200))
 				if w%2 == 0 {
 					v.With("a").Inc()

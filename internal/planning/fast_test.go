@@ -87,12 +87,9 @@ type flatMap struct{}
 
 func (flatMap) State(geom.Vec3) mapping.VoxelState         { return mapping.Unknown }
 func (flatMap) Blocked(p geom.Vec3) bool                   { return p.X > 5 }
-func (flatMap) InsertRay(_, _ geom.Vec3, _ bool)           {}
 func (flatMap) InsertCloud(geom.Vec3, []geom.Vec3, []bool) {}
 func (flatMap) Resolution() float64                        { return 0 }
-func (flatMap) InflationRadius() float64                   { return 0 }
 func (flatMap) MemoryBytes() int                           { return 0 }
-func (flatMap) OccupiedVoxels() int                        { return 0 }
 
 // TestRRTStarFastFindsPaths: the fast planner must still solve the slab
 // scenarios the exact planner solves (same seeds, same worlds).

@@ -110,28 +110,6 @@ func Shortcut(m mapping.Map, path []geom.Vec3, step float64) []geom.Vec3 {
 	return out
 }
 
-// MinClearanceSampled returns the minimum inflated-clearance indicator
-// along a path: the fraction of samples that are NOT blocked. 1.0 means
-// fully clear. Used by safety metrics rather than planning itself.
-func MinClearanceSampled(m mapping.Map, path []geom.Vec3, step float64) float64 {
-	total, clear := 0, 0
-	for i := 1; i < len(path); i++ {
-		l := path[i].Dist(path[i-1])
-		n := int(l/step) + 1
-		for k := 0; k <= n; k++ {
-			p := path[i-1].Lerp(path[i], float64(k)/float64(n))
-			total++
-			if !m.Blocked(p) {
-				clear++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(clear) / float64(total)
-}
-
 // liftClear raises p vertically in half-resolution steps until it leaves
 // inflated space, up to maxLift meters (bounded by maxZ). Start and goal
 // points frequently sit inside inflation (a vehicle braking at an obstacle,

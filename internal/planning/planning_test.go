@@ -325,18 +325,3 @@ func TestTrajectorySample(t *testing.T) {
 		t.Error("empty End")
 	}
 }
-
-func TestMinClearanceSampled(t *testing.T) {
-	m := wallMap(10, 8)
-	clear := []geom.Vec3{geom.V3(0, 0, 15), geom.V3(20, 0, 15)}
-	if got := MinClearanceSampled(m, clear, 0.25); got != 1 {
-		t.Errorf("clear path clearance = %v", got)
-	}
-	through := []geom.Vec3{geom.V3(0, 0, 4), geom.V3(20, 0, 4)}
-	if got := MinClearanceSampled(m, through, 0.25); got >= 1 {
-		t.Errorf("blocked path clearance = %v", got)
-	}
-	if got := MinClearanceSampled(m, nil, 0.25); got != 1 {
-		t.Errorf("empty path clearance = %v", got)
-	}
-}

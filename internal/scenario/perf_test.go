@@ -137,7 +137,9 @@ func TestSimTickAllocFree(t *testing.T) {
 			pts[k] = core.DepthPoint{P: rr.Point, Hit: rr.Hit}
 		}
 		epoch.Depth = pts
-		epoch.Frame = color.Capture(w, sc.Weather, drone.Pos, drone.Yaw, drone.Speed())
+		// A mission hands the frame to the perception stage's detector;
+		// here only the capture itself is measured.
+		color.Capture(w, sc.Weather, drone.Pos, drone.Yaw, drone.Speed())
 		drone.Step(0.05, geom.V3(1, 0.5, 0), sc.Weather.GustAt(windRng))
 		if hitObstacle(w, drone.Pos, drone.Cfg.Radius) {
 			drone.SetYaw(drone.Yaw) // unreachable on this trajectory; keep the call live

@@ -17,8 +17,7 @@ import (
 // The Overlay mirrors the static index's design contract exactly:
 //
 //   - it is a uniform XY grid (the same gridGeom and rayWalk machinery as
-//     index.go) over the sphere footprints, used by the collision and
-//     ray queries below;
+//     index.go) over the sphere footprints, used by the ray query below;
 //   - every gridded query is bit-identical to a linear scan over the
 //     sphere list — DropGrid restores the linear reference paths, which
 //     the equivalence tests use as the oracle;
@@ -129,40 +128,6 @@ func (ov *Overlay) Rebuild() {
 			}
 		}
 	}
-}
-
-// Hit reports whether a sphere at c with radius r overlaps any registered
-// vehicle other than exclude — the drone-drone half of the fleet
-// collision check. Duplicate candidate visits cannot change an
-// any-overlap answer, so no deduplication is needed.
-func (ov *Overlay) Hit(c geom.Vec3, r float64, exclude int32) bool {
-	if len(ov.spheres) == 0 {
-		return false
-	}
-	if ov.nx == 0 {
-		for i := range ov.spheres {
-			s := &ov.spheres[i]
-			if s.ID != exclude && c.DistSq(s.Center) <= (r+s.Radius)*(r+s.Radius) {
-				return true
-			}
-		}
-		return false
-	}
-	cx0, cy0, cx1, cy1, ok := ov.cellRange(c.X-r, c.Y-r, c.X+r, c.Y+r)
-	if !ok {
-		return false
-	}
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, si := range ov.cells[cy*ov.nx+cx] {
-				s := &ov.spheres[si]
-				if s.ID != exclude && c.DistSq(s.Center) <= (r+s.Radius)*(r+s.Radius) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // Raycast returns the nearest intersection parameter of ray with any

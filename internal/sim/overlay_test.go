@@ -53,13 +53,7 @@ func TestOverlayQueriesMatchLinear(t *testing.T) {
 
 			for q := 0; q < 200; q++ {
 				p := geom.V3((rng.Float64()-0.5)*120, (rng.Float64()-0.5)*120, rng.Float64()*40)
-				r := 0.2 + rng.Float64()*3
 				excl := int32(rng.Intn(n + 2)) // sometimes excludes nothing
-				if a, b := grid.Hit(p, r, excl), linear.Hit(p, r, excl); a != b {
-					t.Fatalf("seed %d tick %d: Hit(%v,%v,%d) = %v (grid) vs %v (linear)",
-						seed, tick, p, r, excl, a, b)
-				}
-
 				dir := geom.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 				if dir.Len() < 1e-9 {
 					continue
@@ -92,15 +86,12 @@ func TestOverlaySelfExclusion(t *testing.T) {
 	grid, linear := randomOverlays(rng, 1)
 	for _, ov := range []*Overlay{grid, linear} {
 		s := ov.spheres[0]
-		if ov.Hit(s.Center, 1, s.ID) {
-			t.Fatal("overlay Hit matched the excluded (self) sphere")
-		}
 		ray := geom.Ray{Origin: s.Center.Add(geom.V3(0, 0, 10)), Dir: geom.V3(0, 0, -1)}
 		if _, hit := ov.Raycast(ray, 50, s.ID); hit {
 			t.Fatal("overlay Raycast struck the excluded (self) sphere")
 		}
-		if !ov.Hit(s.Center, 1, s.ID+1) {
-			t.Fatal("overlay Hit missed a non-excluded sphere at zero distance")
+		if _, hit := ov.Raycast(ray, 50, s.ID+1); !hit {
+			t.Fatal("overlay Raycast missed a non-excluded sphere dead ahead")
 		}
 	}
 }
@@ -221,7 +212,6 @@ func TestOverlayRebuildAllocFree(t *testing.T) {
 			ov.Add(int32(i), c, 0.35)
 		}
 		ov.Rebuild()
-		ov.Hit(geom.V3(1, 1, 10), 0.5, 0)
 		ov.Raycast(geom.Ray{Origin: geom.V3(0, 0, 30), Dir: geom.V3(0, 0, -1)}, 40, 0)
 	}
 	cycle() // warm the storage

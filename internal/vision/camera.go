@@ -23,11 +23,6 @@ func DefaultCamera() Camera {
 	return Camera{W: 128, H: 128, FocalPx: 140}
 }
 
-// FOV returns the horizontal field of view in radians.
-func (c Camera) FOV() float64 {
-	return 2 * math.Atan(float64(c.W)/2/c.FocalPx)
-}
-
 // GroundFootprint returns the side length in meters of the square ground
 // patch visible from altitude h above the ground.
 func (c Camera) GroundFootprint(h float64) float64 {

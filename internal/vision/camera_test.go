@@ -90,14 +90,6 @@ func TestGroundFootprint(t *testing.T) {
 	}
 }
 
-func TestFOV(t *testing.T) {
-	cam := DefaultCamera()
-	want := 2 * math.Atan(64.0/140.0)
-	if math.Abs(cam.FOV()-want) > 1e-12 {
-		t.Errorf("FOV = %v", cam.FOV())
-	}
-}
-
 func TestGroundTextureRangeAndDeterminism(t *testing.T) {
 	g := GroundTexture{Seed: 42, Base: 0.45, Contrast: 0.3}
 	for i := 0; i < 500; i++ {

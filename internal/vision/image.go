@@ -266,21 +266,6 @@ func (ig *Integral) BoxMeanInterior(x0, y0, x1, y1 int) float64 {
 	return s / float64((x1-x0+1)*(y1-y0+1))
 }
 
-// BoxBlur returns a box-blurred copy of im with the given radius.
-func BoxBlur(im *Image, radius int) *Image {
-	if radius <= 0 {
-		return im.Clone()
-	}
-	ig := NewIntegral(im)
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			out.Pix[y*im.W+x] = ig.BoxMean(x-radius, y-radius, x+radius, y+radius)
-		}
-	}
-	return out
-}
-
 // WritePGM serializes the image as a binary PGM (P5), the simplest format
 // external viewers open — used to inspect rendered frames and detector
 // inputs when debugging scenarios.

@@ -118,34 +118,6 @@ func TestIntegralClipsBounds(t *testing.T) {
 	}
 }
 
-func TestBoxBlurPreservesMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	im := NewImage(32, 32)
-	for i := range im.Pix {
-		im.Pix[i] = rng.Float64()
-	}
-	blurred := BoxBlur(im, 2)
-	// Interior mean approximately preserved; edges clamp so allow slack.
-	if math.Abs(blurred.Mean()-im.Mean()) > 0.05 {
-		t.Errorf("blur changed mean too much: %v vs %v", blurred.Mean(), im.Mean())
-	}
-	// Blur reduces variance.
-	_, s0 := im.MeanStd()
-	_, s1 := blurred.MeanStd()
-	if s1 >= s0 {
-		t.Errorf("blur did not reduce std: %v >= %v", s1, s0)
-	}
-}
-
-func TestBoxBlurZeroRadius(t *testing.T) {
-	im := NewImage(4, 4)
-	im.Set(2, 2, 0.9)
-	out := BoxBlur(im, 0)
-	if out.At(2, 2) != 0.9 {
-		t.Error("zero radius should copy")
-	}
-}
-
 func TestNewImageNegativeSize(t *testing.T) {
 	im := NewImage(-3, -3)
 	if im.W != 0 || im.H != 0 || len(im.Pix) != 0 {

@@ -170,31 +170,6 @@ func DefaultDictionary() *Dictionary {
 	return d
 }
 
-// Match finds the dictionary entry matching the observed code within
-// maxHamming bit errors, trying all four rotations. It returns the marker
-// ID, the rotation index (quarter turns), and ok=false when nothing is
-// close enough.
-func (d *Dictionary) Match(observed uint16, maxHamming int) (id, rot int, ok bool) {
-	bestDist := maxHamming + 1
-	bestID, bestRot := -1, 0
-	for _, m := range d.Markers {
-		code := m.Code()
-		r := observed
-		for rotIdx := 0; rotIdx < 4; rotIdx++ {
-			if dist := hamming(code, r); dist < bestDist {
-				bestDist = dist
-				bestID = m.ID
-				bestRot = rotIdx
-			}
-			r = rotate90(r)
-		}
-	}
-	if bestID < 0 {
-		return 0, 0, false
-	}
-	return bestID, bestRot, true
-}
-
 // BestMatch returns the dictionary entry with minimum rotation-searched
 // Hamming distance to the observed code, along with that distance. The
 // dictionary is never empty, so a best entry always exists.
@@ -214,14 +189,6 @@ func (d *Dictionary) BestMatch(observed uint16) (id, rot, dist int) {
 		}
 	}
 	return bestID, bestRot, bestDist
-}
-
-// Get returns the marker with the given ID, ok=false if out of range.
-func (d *Dictionary) Get(id int) (Marker, bool) {
-	if id < 0 || id >= len(d.Markers) {
-		return Marker{}, false
-	}
-	return d.Markers[id], true
 }
 
 // PatternAt evaluates the printed marker pattern at normalized pad
@@ -251,20 +218,6 @@ func (m Marker) PatternAt(u, v float64) float64 {
 		return 0.95
 	}
 	return 0.05
-}
-
-// RenderTemplate draws the marker (pad included) into a size×size image,
-// used both for the learned detector's template bank and for tests.
-func (m Marker) RenderTemplate(size int) *Image {
-	im := NewImage(size, size)
-	for y := 0; y < size; y++ {
-		for x := 0; x < size; x++ {
-			u := (float64(x) + 0.5) / float64(size)
-			v := (float64(y) + 0.5) / float64(size)
-			im.Pix[y*size+x] = m.PatternAt(u, v)
-		}
-	}
-	return im
 }
 
 // MarkerInstance places a marker in the world: a flat pad on the ground.

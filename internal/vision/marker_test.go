@@ -88,17 +88,18 @@ func TestHamming(t *testing.T) {
 func TestDictionaryMatchExactAndRotated(t *testing.T) {
 	d := DefaultDictionary()
 	for _, m := range d.Markers {
-		id, rot, ok := d.Match(m.Code(), 0)
-		if !ok || id != m.ID || rot != 0 {
-			t.Errorf("exact match failed for %d: id=%d rot=%d ok=%v", m.ID, id, rot, ok)
+		id, rot, dist := d.BestMatch(m.Code())
+		if id != m.ID || rot != 0 || dist != 0 {
+			t.Errorf("exact match failed for %d: id=%d rot=%d dist=%d", m.ID, id, rot, dist)
 		}
-		// Every rotation should still match the same ID.
+		// Every rotation still matches the same ID, and reports the
+		// quarter turns that bring it back upright.
 		r := m.Code()
 		for k := 1; k < 4; k++ {
 			r = rotate90(r)
-			id, _, ok := d.Match(r, 0)
-			if !ok || id != m.ID {
-				t.Errorf("rotation %d of marker %d matched id=%d ok=%v", k, m.ID, id, ok)
+			id, rot, dist := d.BestMatch(r)
+			if id != m.ID || rot != 4-k || dist != 0 {
+				t.Errorf("rotation %d of marker %d matched id=%d rot=%d dist=%d", k, m.ID, id, rot, dist)
 			}
 		}
 	}
@@ -108,24 +109,9 @@ func TestDictionaryMatchWithBitErrors(t *testing.T) {
 	d := DefaultDictionary()
 	m := d.Markers[3]
 	corrupted := m.Code() ^ 0b1 // one bit flipped
-	if id, _, ok := d.Match(corrupted, 1); !ok || id != 3 {
-		t.Errorf("1-bit error not corrected: id=%d ok=%v", id, ok)
-	}
-	if _, _, ok := d.Match(corrupted, 0); ok {
-		t.Error("0-tolerance should reject corrupted code")
-	}
-}
-
-func TestDictionaryGet(t *testing.T) {
-	d := DefaultDictionary()
-	if _, ok := d.Get(0); !ok {
-		t.Error("Get(0) failed")
-	}
-	if _, ok := d.Get(-1); ok {
-		t.Error("Get(-1) should fail")
-	}
-	if _, ok := d.Get(len(d.Markers)); ok {
-		t.Error("Get(len) should fail")
+	// Distance 1: accepted within 1 bit error, rejected within 0.
+	if id, _, dist := d.BestMatch(corrupted); id != 3 || dist != 1 {
+		t.Errorf("1-bit error: id=%d dist=%d, want id 3 at distance 1", id, dist)
 	}
 }
 
@@ -141,23 +127,6 @@ func TestPatternLayout(t *testing.T) {
 	}
 	if v := m.PatternAt(0.5, 0.12); v > 0.1 {
 		t.Errorf("top border = %v, want black", v)
-	}
-}
-
-func TestRenderTemplate(t *testing.T) {
-	m := DefaultDictionary().Markers[1]
-	im := m.RenderTemplate(48)
-	if im.W != 48 || im.H != 48 {
-		t.Fatalf("template size %dx%d", im.W, im.H)
-	}
-	// Should contain both dark and bright pixels.
-	mean, std := im.MeanStd()
-	if std < 0.2 {
-		t.Errorf("template has no structure: mean=%v std=%v", mean, std)
-	}
-	// Corners are quiet zone (white).
-	if im.At(0, 0) != 1 || im.At(47, 47) != 1 {
-		t.Error("template corners should be white quiet zone")
 	}
 }
 

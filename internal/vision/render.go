@@ -413,20 +413,6 @@ type Conditions struct {
 	OccR       float64
 }
 
-// Severity summarizes how adverse the conditions are in [0,1], used by the
-// scenario generator's difficulty accounting.
-func (c Conditions) Severity() float64 {
-	s := c.Fog*0.9 + c.Glare*0.7 + c.Shadow*0.5 + c.RainNoise*3 +
-		c.MotionBlur*0.04 + absf(c.Brightness)*0.8 + c.Occlusion*0.6
-	if c.Contrast != 0 && c.Contrast < 1 {
-		s += (1 - c.Contrast) * 0.8
-	}
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
 func effectiveContrast(g float64) float64 {
 	if g == 0 {
 		return 1

@@ -91,9 +91,6 @@ func TestConditionsZeroIsNoop(t *testing.T) {
 			t.Fatal("zero conditions modified image")
 		}
 	}
-	if c.Severity() != 0 {
-		t.Errorf("zero severity = %v", c.Severity())
-	}
 }
 
 func TestFogWashesOutContrast(t *testing.T) {
@@ -193,17 +190,6 @@ func TestBrightnessContrast(t *testing.T) {
 	c2.Apply(im2, 10, nil)
 	if math.Abs(im2.Mean()-0.7) > 1e-9 {
 		t.Errorf("contrast mean = %v, want 0.7", im2.Mean())
-	}
-}
-
-func TestSeverityMonotone(t *testing.T) {
-	mild := Conditions{Fog: 0.2}
-	harsh := Conditions{Fog: 0.8, Glare: 0.5, RainNoise: 0.08}
-	if mild.Severity() >= harsh.Severity() {
-		t.Errorf("severity ordering: mild %v >= harsh %v", mild.Severity(), harsh.Severity())
-	}
-	if harsh.Severity() > 1 {
-		t.Errorf("severity > 1: %v", harsh.Severity())
 	}
 }
 
