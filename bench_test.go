@@ -614,21 +614,21 @@ func BenchmarkRender(b *testing.B) {
 	}
 }
 
-// BenchmarkRenderSweep times downward-camera frame captures the way a
-// campaign takes them: a fixed flight over five maps (woodline, lakeside,
+// sweepPose is one camera pose of the campaign-like frame sweep.
+type sweepPose struct {
+	sc  *worldgen.Scenario
+	pos geom.Vec3
+	yaw float64
+}
+
+// sweepPoses is a fixed flight over five maps (woodline, lakeside,
 // parkside, urban blocks, towers) that looks at the landing marker and at
-// the map's first building, tree and water body from 2–30 m at mixed yaws.
-// Roofs, canopies and water share frames with bare ground, so the occluder
-// cull sees partly blocked frames, which BenchmarkRender's single clear
-// frame never does. One op is one frame; the poses cycle.
-func BenchmarkRenderSweep(b *testing.B) {
-	type pose struct {
-		sc  *worldgen.Scenario
-		pos geom.Vec3
-		yaw float64
-	}
+// the map's first building, tree and water body from 2–30 m at mixed
+// yaws, each target off-centre so the frame holds its edge and the ground
+// around it.
+func sweepPoses(b *testing.B) []sweepPose {
 	alts := []float64{2, 5, 9, 14, 20, 30}
-	var poses []pose
+	var poses []sweepPose
 	for _, m := range []int{1, 3, 5, 7, 9} {
 		sc, err := worldgen.Generate(m, 0)
 		if err != nil {
@@ -646,12 +646,20 @@ func BenchmarkRenderSweep(b *testing.B) {
 			targets = append(targets, w.Water[0].Center())
 		}
 		for _, t := range targets {
-			// Off-centre by a fraction of the footprint, so each frame
-			// holds the target's edge and the ground around it.
 			z := alts[len(poses)%len(alts)]
-			poses = append(poses, pose{sc, geom.V3(t.X+0.3*z, t.Y-0.2*z, z), 0.4 + 1.7*float64(len(poses))})
+			poses = append(poses, sweepPose{sc, geom.V3(t.X+0.3*z, t.Y-0.2*z, z), 0.4 + 1.7*float64(len(poses))})
 		}
 	}
+	return poses
+}
+
+// BenchmarkRenderSweep times downward-camera frame captures the way a
+// campaign takes them, over sweepPoses. Roofs, canopies and water share
+// frames with bare ground, so the occluder cull sees partly blocked
+// frames, which BenchmarkRender's single clear frame never does. One op
+// is one frame; the poses cycle.
+func BenchmarkRenderSweep(b *testing.B) {
+	poses := sweepPoses(b)
 	color := sim.NewColorCamera(1)
 	// One pass grows every per-frame buffer to the sweep's largest frame.
 	for _, p := range poses {
@@ -664,6 +672,32 @@ func BenchmarkRenderSweep(b *testing.B) {
 		if im := color.Capture(p.sc.World, p.sc.Weather, p.pos, p.yaw, 2.0); im.W == 0 {
 			b.Fatal("empty frame")
 		}
+	}
+}
+
+// BenchmarkDetectSweep times marker detection on BenchmarkRenderSweep's
+// frames, captured once outside the timer: the learned V3 detector
+// (proposals and exact verify) and the classical pipeline (proposals and
+// grid decode). One op is one frame; the frames cycle. Reported, not
+// gated: Detect returns a fresh slice of detections by design.
+func BenchmarkDetectSweep(b *testing.B) {
+	poses := sweepPoses(b)
+	color := sim.NewColorCamera(1)
+	frames := make([]*vision.Image, len(poses))
+	for i, p := range poses {
+		frames[i] = color.Capture(p.sc.World, p.sc.Weather, p.pos, p.yaw, 2.0).Clone()
+	}
+	dict := vision.DefaultDictionary()
+	for _, c := range []struct {
+		name string
+		det  detect.Detector
+	}{{"LearnedV3", detect.NewLearnedV3(dict)}, {"Classical", detect.NewClassical(dict)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.det.Detect(frames[i%len(frames)])
+			}
+		})
 	}
 }
 
@@ -682,28 +716,6 @@ func BenchmarkDepthCapture(b *testing.B) {
 		if len(depth.Capture(sc.World, pos, 0.7)) == 0 {
 			b.Fatal("no returns")
 		}
-	}
-}
-
-// BenchmarkRaycast times single obstacle raycasts against an urban world,
-// the primitive under the lidar and depth sensors.
-func BenchmarkRaycast(b *testing.B) {
-	sc, err := worldgen.Generate(9, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rays := make([]geom.Ray, 64)
-	for i := range rays {
-		a := float64(i) / float64(len(rays)) * 2 * math.Pi
-		rays[i] = geom.Ray{
-			Origin: geom.V3(math.Cos(a)*20, math.Sin(a)*20, 10),
-			Dir:    geom.V3(-math.Cos(a), -math.Sin(a), -0.15),
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.World.Raycast(rays[i%len(rays)], 40)
 	}
 }
 

@@ -19,7 +19,9 @@
 // -checkpoint, Ctrl-C mid-campaign, rerun the same command and the flown
 // flights replay from the journal while only the remainder fly. The final
 // flight log and aggregates are bit-identical to an uninterrupted
-// campaign (compare the printed aggregate digests).
+// campaign (compare the printed aggregate digests). The mean CPU/RAM line
+// and the fault timeline come from this process's per-flight monitors, so
+// after a resume they name the number of flights they cover.
 package main
 
 import (
@@ -121,16 +123,6 @@ func main() {
 	report := cf.Execute("fieldtest", spec, opts)
 
 	results := report.Results
-	var meanCPU, meanMem float64
-	count := 0
-	for _, mon := range mons {
-		if mon == nil {
-			continue
-		}
-		meanCPU += mon.MeanCPU()
-		meanMem += mon.MeanMemMB()
-		count++
-	}
 
 	agg := *report.Aggregates[core.V3]
 	agg.System = "MLS-V3-field"
@@ -166,15 +158,14 @@ func main() {
 	if len(drifts) > 0 {
 		fmt.Printf("  mean max GPS drift: %.2f m (Fig. 5d)\n", driftSum/float64(len(drifts)))
 	}
-	if count > 0 {
-		fmt.Printf("  mean CPU %.0f%% aggregate, mean RAM %.2f GB (Fig. 7: above HIL's)\n",
-			meanCPU/float64(count), meanMem/float64(count)/1000)
+	if line := resourceLine(mons); line != "" {
+		fmt.Println(line)
 	}
 	printFleetAndDependability(agg)
 	if agg.DependabilityString() != "" {
 		for _, mon := range mons {
 			if mon != nil && len(mon.FaultEvents()) > 0 {
-				fmt.Println("fault timeline of the first monitored flight:")
+				fmt.Printf("fault timeline of the first monitored flight%s:\n", flownScope(mons))
 				for _, ev := range mon.FaultEvents() {
 					fmt.Println(obs.FormatEvent(ev))
 				}
@@ -204,6 +195,41 @@ func main() {
 		fmt.Printf("\nFig. 7 series written to %s\n", *csvPath)
 	}
 	dumpMetrics(cf)
+}
+
+// flownScope labels a figure drawn from the per-flight monitors: they
+// exist only for the flights this process flew, so after a resume the
+// figure covers fewer than all flights, and says how many.
+func flownScope(mons []*hil.Monitor) string {
+	flown := 0
+	for _, mon := range mons {
+		if mon != nil {
+			flown++
+		}
+	}
+	if flown == len(mons) {
+		return ""
+	}
+	return fmt.Sprintf(" over the %d flights flown this session", flown)
+}
+
+// resourceLine is §V-C's mean CPU and RAM line over the monitored flights,
+// or "" when this process flew none.
+func resourceLine(mons []*hil.Monitor) string {
+	var meanCPU, meanMem float64
+	count := 0
+	for _, mon := range mons {
+		if mon != nil {
+			meanCPU += mon.MeanCPU()
+			meanMem += mon.MeanMemMB()
+			count++
+		}
+	}
+	if count == 0 {
+		return ""
+	}
+	return fmt.Sprintf("  mean CPU %.0f%% aggregate, mean RAM %.2f GB%s (Fig. 7: above HIL's)",
+		meanCPU/float64(count), meanMem/float64(count)/1000, flownScope(mons))
 }
 
 var errNoSeries = errors.New("flight 0 was replayed from the checkpoint journal, so its Fig. 7 series was not recorded in this run")

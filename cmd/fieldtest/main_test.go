@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/hil"
@@ -31,5 +32,34 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("nil monitor left a file behind (stat err %v)", err)
+	}
+}
+
+// TestResourceLineScope pins the scope label of the §V-C resource line:
+// none when every flight was flown in this process, the number of flights
+// flown here when a resume replayed the others from the journal, and no
+// line at all when none was flown here.
+func TestResourceLineScope(t *testing.T) {
+	mon := func() *hil.Monitor {
+		m := hil.NewMonitor(hil.JetsonNanoMAXN(), hil.FieldCosts())
+		for i := 1; i <= 3; i++ {
+			m.RecordDetect()
+			m.Advance(1, float64(i), 1<<20)
+		}
+		return m
+	}
+	fresh := resourceLine([]*hil.Monitor{mon(), mon(), mon()})
+	if fresh == "" || strings.Contains(fresh, "this session") {
+		t.Errorf("fresh campaign: %q, want the line without a scope", fresh)
+	}
+	resumed := resourceLine([]*hil.Monitor{nil, mon(), nil, mon()})
+	if !strings.Contains(resumed, " over the 2 flights flown this session") {
+		t.Errorf("resumed campaign: %q, want it scoped to the 2 flights flown this session", resumed)
+	}
+	if strings.Replace(resumed, " over the 2 flights flown this session", "", 1) != fresh {
+		t.Errorf("resumed line %q differs from the fresh %q beyond its scope", resumed, fresh)
+	}
+	if got := resourceLine([]*hil.Monitor{nil, nil}); got != "" {
+		t.Errorf("no flight flown here: %q, want no line", got)
 	}
 }

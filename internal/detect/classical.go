@@ -59,8 +59,8 @@ func (c *Classical) Detect(im *vision.Image) []Detection {
 	mask := adaptiveThreshold(im, c.Window, c.Offset, &c.scratch)
 	comps := findComponents(mask, im.W, im.H, &c.scratch)
 	var out []Detection
-	for _, comp := range comps {
-		det, ok := c.decode(im, comp)
+	for i := range comps {
+		det, ok := c.decode(im, &comps[i])
 		if ok {
 			out = append(out, det)
 		}

@@ -15,7 +15,6 @@ type component struct {
 	cx, cy        float64 // centroid
 	angle         float64 // min-area-rect orientation, radians in [0, pi/2)
 	width, height float64 // min-area-rect extents (width >= height)
-	pixels        []int   // linear indices into the mask, for moment math
 }
 
 // bboxW and bboxH return the axis-aligned bounding-box extents.
@@ -23,176 +22,183 @@ func (c *component) bboxW() int { return c.maxX - c.minX + 1 }
 func (c *component) bboxH() int { return c.maxY - c.minY + 1 }
 
 // detScratch holds the per-detector reusable buffers of the shared
-// proposal pipeline (integral image, threshold mask, flood-fill state), so
-// steady-state detection does not reallocate per frame. Each detector
-// instance owns one; detectors are single-goroutine.
+// proposal pipeline (integral image, window tables, threshold mask,
+// flood-fill state, kept components), so steady-state detection allocates
+// nothing per frame. Each detector instance owns one; detectors are
+// single-goroutine.
 type detScratch struct {
 	integral vision.Integral
+	cols     []span
 	mask     []bool
 	visited  []bool
-	queue    []int
+	pix      []int
+	comps    []component
 	rowMinX  []int32
 	rowMaxX  []int32
 }
 
+// span is one axis of a threshold window clamped to the frame: pixels
+// lo..hi1-1, n of them, which are integral-table rows or columns lo and
+// hi1.
+type span struct{ lo, hi1, n int }
+
+// clampedSpan returns the window of half-width r around i, clamped to
+// [0, n).
+func clampedSpan(i, r, n int) span {
+	lo, hi1 := max(i-r, 0), min(i+r, n-1)+1
+	return span{lo, hi1, hi1 - lo}
+}
+
 // adaptiveThreshold returns a boolean mask of pixels darker than their
-// neighborhood mean by at least offset. window is the half-width of the
-// neighborhood. This mirrors OpenCV's ADAPTIVE_THRESH_MEAN_C binarization.
-// The returned mask aliases the scratch and is valid until the next call.
+// neighborhood mean by at least offset. window (>= 0) is the half-width of
+// the neighborhood, clamped to the frame. This mirrors OpenCV's
+// ADAPTIVE_THRESH_MEAN_C binarization. The returned mask aliases the
+// scratch and is valid until the next call.
+//
+// Each pixel's window comes from a per-column and a per-row table of
+// clamped spans, so border pixels cost what interior ones do, and the
+// mean is the clamping vision.Integral.BoxMean's: the same four table
+// reads, subtraction order and divisor.
 func adaptiveThreshold(im *vision.Image, window int, offset float64, s *detScratch) []bool {
 	s.integral.Compute(im)
 	ig := &s.integral
-	if cap(s.mask) < im.W*im.H {
-		s.mask = make([]bool, im.W*im.H)
+	s.mask = grow(s.mask, im.W*im.H)
+	s.cols = grow(s.cols, im.W)
+	for x := range s.cols {
+		s.cols[x] = clampedSpan(x, window, im.W)
 	}
-	mask := s.mask[:im.W*im.H]
-	// Border rows and columns need BoxMean's clamping; interior pixels —
-	// the bulk of the frame — take the clamp-free path, which is
-	// bit-identical on in-bounds windows.
-	xIn0, xIn1 := window, im.W-1-window
 	for y := 0; y < im.H; y++ {
-		base := y * im.W
-		if y < window || y+window >= im.H || xIn0 > xIn1 {
-			for x := 0; x < im.W; x++ {
-				m := ig.BoxMean(x-window, y-window, x+window, y+window)
-				mask[base+x] = im.Pix[base+x] < m-offset
-			}
-			continue
-		}
-		y0, y1 := y-window, y+window
-		for x := 0; x < xIn0; x++ {
-			m := ig.BoxMean(x-window, y0, x+window, y1)
-			mask[base+x] = im.Pix[base+x] < m-offset
-		}
-		for x := xIn0; x <= xIn1; x++ {
-			m := ig.BoxMeanInterior(x-window, y0, x+window, y1)
-			mask[base+x] = im.Pix[base+x] < m-offset
-		}
-		for x := xIn1 + 1; x < im.W; x++ {
-			m := ig.BoxMean(x-window, y0, x+window, y1)
-			mask[base+x] = im.Pix[base+x] < m-offset
+		r := clampedSpan(y, window, im.H)
+		top, bot := ig.Row(r.lo), ig.Row(r.hi1)
+		pix := im.Pix[y*im.W:][:im.W]
+		mask := s.mask[y*im.W:][:im.W]
+		for x, c := range s.cols[:im.W] {
+			sum := bot[c.hi1] - top[c.hi1] - bot[c.lo] + top[c.lo]
+			mask[x] = pix[x] < sum/float64(c.n*r.n)-offset
 		}
 	}
-	return mask
+	return s.mask
+}
+
+// grow returns buf resliced to n elements, reallocated only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // findComponents labels 4-connected dark regions in the mask and returns
-// those within the plausible marker size band. Flood-fill state lives in
-// the scratch so the hot path stays allocation-light.
-func findComponents(mask []bool, w, h int, s *detScratch) []*component {
+// those within the plausible marker size band, in raster order of their
+// first pixel. Each region floods into one reused pixel buffer and the
+// kept ones go into a reused slice, so a dropped blob costs no
+// allocation. The returned components alias the scratch and, like the
+// mask, stay valid only until the next call.
+func findComponents(mask []bool, w, h int, s *detScratch) []component {
 	if w == 0 || h == 0 {
 		return nil
 	}
 	maxArea := int(maxComponentFrac * float64(w*h))
-	if cap(s.visited) < len(mask) {
-		s.visited = make([]bool, len(mask))
-	}
-	visited := s.visited[:len(mask)]
-	for i := range visited {
-		visited[i] = false
-	}
-	if s.queue == nil {
-		s.queue = make([]int, 0, 256)
-	}
-	queue := s.queue
-	var comps []*component
-	for start := range mask {
-		if !mask[start] || visited[start] {
+	s.visited = grow(s.visited, len(mask))
+	visited := s.visited
+	clear(visited)
+	// pix is the flood's queue and the region's pixel list at once: a
+	// region never holds more pixels than the mask.
+	s.pix = grow(s.pix, len(mask))
+	comps := s.comps[:0]
+	for start, dark := range mask {
+		if !dark || visited[start] {
 			continue
 		}
-		// BFS flood fill.
-		queue = queue[:0]
-		queue = append(queue, start)
+		// Breadth-first flood. The region's sums are of integers far
+		// below 2^53, so they are exact in any visiting order.
+		pix := s.pix[:1]
+		pix[0] = start
 		visited[start] = true
-		c := &component{minX: w, minY: h}
+		c := component{minX: w, minY: h}
 		var sx, sy float64
-		for len(queue) > 0 {
-			idx := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+		for head := 0; head < len(pix); head++ {
+			idx := pix[head]
 			x, y := idx%w, idx/w
-			c.area++
-			c.pixels = append(c.pixels, idx)
 			sx += float64(x)
 			sy += float64(y)
-			if x < c.minX {
-				c.minX = x
-			}
-			if x > c.maxX {
-				c.maxX = x
-			}
-			if y < c.minY {
-				c.minY = y
-			}
-			if y > c.maxY {
-				c.maxY = y
-			}
+			c.minX = min(c.minX, x)
+			c.maxX = max(c.maxX, x)
+			c.minY = min(c.minY, y)
+			c.maxY = max(c.maxY, y)
 			// 4-neighbors.
 			if x > 0 && mask[idx-1] && !visited[idx-1] {
 				visited[idx-1] = true
-				queue = append(queue, idx-1)
+				pix = append(pix, idx-1)
 			}
 			if x < w-1 && mask[idx+1] && !visited[idx+1] {
 				visited[idx+1] = true
-				queue = append(queue, idx+1)
+				pix = append(pix, idx+1)
 			}
 			if y > 0 && mask[idx-w] && !visited[idx-w] {
 				visited[idx-w] = true
-				queue = append(queue, idx-w)
+				pix = append(pix, idx-w)
 			}
 			if y < h-1 && mask[idx+w] && !visited[idx+w] {
 				visited[idx+w] = true
-				queue = append(queue, idx+w)
+				pix = append(pix, idx+w)
 			}
 		}
+		c.area = len(pix)
 		if c.area < minComponentArea || c.area > maxArea {
 			continue
 		}
 		c.cx = sx / float64(c.area)
 		c.cy = sy / float64(c.area)
-		fitMinAreaRect(c, w, s)
+		fitMinAreaRect(&c, pix, w, s)
 		comps = append(comps, c)
 	}
-	s.queue = queue[:0]
+	s.comps = comps
 	return comps
 }
 
+// rectSteps is fitMinAreaRect's angle resolution: 5° over [0°, 90°).
+const rectSteps = 18
+
+// rectAngles holds each candidate orientation with its cosine and sine.
+var rectAngles = func() (t [rectSteps]struct{ theta, cos, sin float64 }) {
+	for s := range t {
+		theta := float64(s) * (math.Pi / 2) / rectSteps
+		t[s].theta, t[s].cos, t[s].sin = theta, math.Cos(theta), math.Sin(theta)
+	}
+	return t
+}()
+
 // fitMinAreaRect sweeps candidate orientations and records the rotation
-// minimizing the projected bounding-rectangle area. A square marker border
-// is rotation-ambiguous mod 90°, which the decoders resolve separately by
-// trying all four rotations of the bit grid.
+// minimizing the projected bounding-rectangle area of the component whose
+// pixels (linear mask indices, row stride stride) are given. A square
+// marker border is rotation-ambiguous mod 90°, which the decoders resolve
+// separately by trying all four rotations of the bit grid.
 //
 // The sweep only needs each row's leftmost and rightmost pixel: every
 // candidate angle theta in [0°, 90°) has cos(theta) > 0, so along a fixed
 // row both projections u = x cos + y sin and v = -x sin + y cos attain
 // their extremes at the row's extreme x. Scanning those 2·rows pixels
 // yields bit-identical extents to scanning the whole component.
-func fitMinAreaRect(c *component, stride int, s *detScratch) {
+func fitMinAreaRect(c *component, pixels []int, stride int, s *detScratch) {
 	rows := c.maxY - c.minY + 1
-	if cap(s.rowMinX) < rows {
-		s.rowMinX = make([]int32, rows)
-		s.rowMaxX = make([]int32, rows)
-	}
-	rowMinX := s.rowMinX[:rows]
-	rowMaxX := s.rowMaxX[:rows]
+	s.rowMinX = grow(s.rowMinX, rows)
+	s.rowMaxX = grow(s.rowMaxX, rows)
+	rowMinX, rowMaxX := s.rowMinX, s.rowMaxX
 	for i := range rowMinX {
 		rowMinX[i] = int32(stride)
 		rowMaxX[i] = -1
 	}
-	for _, idx := range c.pixels {
+	for _, idx := range pixels {
 		x, y := int32(idx%stride), idx/stride-c.minY
-		if x < rowMinX[y] {
-			rowMinX[y] = x
-		}
-		if x > rowMaxX[y] {
-			rowMaxX[y] = x
-		}
+		rowMinX[y] = min(rowMinX[y], x)
+		rowMaxX[y] = max(rowMaxX[y], x)
 	}
 
-	const steps = 18 // 5° resolution over [0°, 90°)
 	bestArea := math.Inf(1)
-	for s := 0; s < steps; s++ {
-		theta := float64(s) * (math.Pi / 2) / steps
-		cos, sin := math.Cos(theta), math.Sin(theta)
+	for _, r := range &rectAngles {
+		cos, sin := r.cos, r.sin
 		minU, maxU := math.Inf(1), math.Inf(-1)
 		minV, maxV := math.Inf(1), math.Inf(-1)
 		for ry := 0; ry < rows; ry++ {
@@ -222,7 +228,7 @@ func fitMinAreaRect(c *component, stride int, s *detScratch) {
 		h := maxV - minV + 1
 		if a := w * h; a < bestArea {
 			bestArea = a
-			c.angle = theta
+			c.angle = r.theta
 			if w >= h {
 				c.width, c.height = w, h
 			} else {

@@ -146,3 +146,56 @@ func TestMinAreaRectRotatedSquare(t *testing.T) {
 		t.Errorf("angle = %v, want ~%v", got, want)
 	}
 }
+
+// TestProposalsAllocFree pins the allocation-free proposal stage: once a
+// pass over a worldgen frame sweep has grown the scratch, thresholding
+// and labelling every frame again allocates nothing, at the learned and
+// at the classical offset; and both detectors allocate nothing on the
+// sweep's frames that hold proposals but no marker.
+func TestProposalsAllocFree(t *testing.T) {
+	var frames []*vision.Image
+	for _, m := range []int{1, 4, 8} {
+		frames = append(frames, worldFlight(t, m)...)
+	}
+	for _, offset := range []float64{0.05, 0.08} {
+		var s detScratch
+		comps := 0
+		allocs := testing.AllocsPerRun(3, func() {
+			comps = 0
+			for _, im := range frames {
+				mask := adaptiveThreshold(im, 9, offset, &s)
+				comps += len(findComponents(mask, im.W, im.H, &s))
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("offset %v: %v allocs per sweep, want 0", offset, allocs)
+		}
+		if comps < 200 {
+			t.Errorf("offset %v: %d components over the sweep, want at least 200", offset, comps)
+		}
+	}
+
+	dict := vision.DefaultDictionary()
+	for _, d := range []Detector{NewLearnedV3(dict), NewClassical(dict)} {
+		var empty []*vision.Image
+		var s detScratch
+		proposals := 0
+		for _, im := range frames {
+			if len(d.Detect(im)) == 0 {
+				empty = append(empty, im)
+				proposals += len(findComponents(adaptiveThreshold(im, 9, 0.05, &s), im.W, im.H, &s))
+			}
+		}
+		if len(empty) < 20 || proposals < 100 {
+			t.Fatalf("%s: %d frames without a detection holding %d proposals, want 20 and 100", d.Name(), len(empty), proposals)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			for _, im := range empty {
+				d.Detect(im)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs over %d frames without a detection, want 0", d.Name(), allocs, len(empty))
+		}
+	}
+}

@@ -94,7 +94,8 @@ func (l *Learned) Name() string { return "tph-yolo-equivalent" }
 
 // buildTemplates renders the marker grid (border + code, no quiet zone) at
 // patch resolution for all four quarter rotations of every dictionary entry
-// and pre-normalizes them.
+// and pre-normalizes them. A marker's four rotations are consecutive, so
+// the bank is whole groups of four, which verify correlates per pass.
 func (l *Learned) buildTemplates() {
 	l.templates = l.templates[:0]
 	for _, m := range l.Dict.Markers {
@@ -104,8 +105,8 @@ func (l *Learned) buildTemplates() {
 			t.id = m.ID
 			t.vals = rotatePatch(base, rot)
 			normalizePatch(t.vals[:])
-			for q := 0; q < 4; q++ {
-				extractQuadrant(&t, q)
+			for q := range t.quad {
+				t.quad[q] = quadrant(&t.vals, q)
 			}
 			l.templates = append(l.templates, t)
 		}
@@ -168,22 +169,21 @@ func normalizePatch(v []float64) {
 	}
 }
 
-// extractQuadrant copies quadrant q of the template and normalizes it
-// independently so occluded-region statistics do not poison intact ones.
-func extractQuadrant(t *learnedTemplate, q int) {
-	// Re-render from the unnormalized values is unnecessary: quadrant
-	// normalization is affine-invariant, so normalizing the already
-	// normalized values gives the same result.
+// quadrant copies quadrant q (0..3, row-major) of a normalized patch and
+// normalizes it on its own, so occluded-region statistics do not poison
+// intact ones. Normalization is affine-invariant, so normalizing the
+// already normalized values gives what the raw values would.
+func quadrant(p *[patchN * patchN]float64, q int) [quadN * quadN]float64 {
 	ox := (q % 2) * quadN
 	oy := (q / 2) * quadN
 	var buf [quadN * quadN]float64
 	for y := 0; y < quadN; y++ {
 		for x := 0; x < quadN; x++ {
-			buf[y*quadN+x] = t.vals[(oy+y)*patchN+(ox+x)]
+			buf[y*quadN+x] = p[(oy+y)*patchN+(ox+x)]
 		}
 	}
 	normalizePatch(buf[:])
-	t.quad[q] = buf
+	return buf
 }
 
 // Detect implements Detector.
@@ -194,7 +194,8 @@ func (l *Learned) Detect(im *vision.Image) []Detection {
 	mask := adaptiveThreshold(im, 9, l.ProposalOffset, &l.scratch)
 	comps := findComponents(mask, im.W, im.H, &l.scratch)
 	var out []Detection
-	for _, comp := range comps {
+	for i := range comps {
+		comp := &comps[i]
 		if comp.width < l.MinSidePx || comp.squareness() < 0.35 {
 			continue
 		}
@@ -213,6 +214,12 @@ func (l *Learned) Detect(im *vision.Image) []Detection {
 }
 
 // verify runs the multi-scale, multi-angle NCC search on one proposal.
+//
+// Each pose's patch is correlated against four templates per pass — a
+// marker's four quarter turns, which buildTemplates stores consecutively —
+// and a template's four quadrant correlations are taken in one pass. Each
+// of those sums runs in index order, as a lone dot product's would, so
+// every score has the bits of one dot product per template and quadrant.
 func (l *Learned) verify(im *vision.Image, comp *component) (Detection, bool) {
 	scales := [3]float64{0.85, 1.0, 1.2}
 	angles := [3]float64{comp.angle - 0.10, comp.angle, comp.angle + 0.10}
@@ -234,33 +241,39 @@ func (l *Learned) verify(im *vision.Image, comp *component) (Detection, bool) {
 				continue
 			}
 			normalizePatch(patch[:])
-			for q := 0; q < 4; q++ {
-				ox := (q % 2) * quadN
-				oy := (q / 2) * quadN
-				for y := 0; y < quadN; y++ {
-					for x := 0; x < quadN; x++ {
-						quads[q][y*quadN+x] = patch[(oy+y)*patchN+(ox+x)]
+			quadsBuilt := false
+			for ti := 0; ti < len(l.templates); ti += 4 {
+				group := l.templates[ti : ti+4]
+				scores := dot4(&patch, &group[0].vals, &group[1].vals, &group[2].vals, &group[3].vals)
+				for k, score := range scores {
+					t := &group[k]
+					votes := 0
+					// rank = score + 0.1·votes is at most score + 0.4
+					// (0.1*4 rounds to 0.4, and rounding is monotonic), so
+					// a template with score + 0.4 <= bestScore cannot win
+					// and its votes need not be counted.
+					if score+0.4 > bestScore {
+						if !quadsBuilt {
+							for q := range quads {
+								quads[q] = quadrant(&patch, q)
+							}
+							quadsBuilt = true
+						}
+						for _, qs := range dotQuads(&quads, &t.quad) {
+							if qs >= l.TauQuad {
+								votes++
+							}
+						}
 					}
-				}
-				normalizePatch(quads[q][:])
-			}
-			for ti := range l.templates {
-				t := &l.templates[ti]
-				score := dot(patch[:], t.vals[:])
-				votes := 0
-				for q := 0; q < 4; q++ {
-					if dot(quads[q][:], t.quad[q][:]) >= l.TauQuad {
-						votes++
+					// Rank candidates by a blend so a high-vote occluded hit
+					// can beat a mediocre full-patch hit.
+					rank := score + 0.1*float64(votes)
+					if rank > bestScore {
+						bestScore = rank
+						bestID = t.id
+						bestSide = side
+						bestVotes = votes
 					}
-				}
-				// Rank candidates by a blend so a high-vote occluded hit
-				// can beat a mediocre full-patch hit.
-				rank := score + 0.1*float64(votes)
-				if rank > bestScore {
-					bestScore = rank
-					bestID = t.id
-					bestSide = side
-					bestVotes = votes
 				}
 			}
 		}
@@ -293,34 +306,61 @@ func (l *Learned) verify(im *vision.Image, comp *component) (Detection, bool) {
 }
 
 // samplePatch bilinearly samples a rotated square region of the image into
-// a patchN x patchN buffer. Samples that fall outside the frame are
-// tolerated up to 25% (markers at the frame edge), substituted with the
-// patch mean afterwards via zeroing pre-normalization.
+// a patchN x patchN buffer. Samples that fall outside the frame (markers at
+// the frame edge) are tolerated up to 25% and set to 0.5, mid-gray, before
+// the caller normalizes the patch.
 func samplePatch(im *vision.Image, cx, cy, side, angle float64, out *[patchN * patchN]float64) bool {
 	cos, sin := math.Cos(angle), math.Sin(angle)
 	cell := side / patchN
+	// Each sample point is cx + lx*cos - ly*sin, cy + lx*sin + ly*cos; the
+	// column terms (cx + lx*cos, cy + lx*sin) and the row terms (ly*sin,
+	// ly*cos) are computed once per patch, on the same operands.
+	var colX, colY, rowX, rowY [patchN]float64
+	for g := range colX {
+		l := (float64(g)+0.5)*cell - side/2
+		colX[g], colY[g] = cx+l*cos, cy+l*sin
+		rowX[g], rowY[g] = l*sin, l*cos
+	}
+	maxX, maxY := float64(im.W-1), float64(im.H-1)
 	outside := 0
-	for gy := 0; gy < patchN; gy++ {
-		for gx := 0; gx < patchN; gx++ {
-			lx := (float64(gx)+0.5)*cell - side/2
-			ly := (float64(gy)+0.5)*cell - side/2
-			px := cx + lx*cos - ly*sin
-			py := cy + lx*sin + ly*cos
-			if px < 0 || py < 0 || px > float64(im.W-1) || py > float64(im.H-1) {
+	for gy := range rowX {
+		row := out[gy*patchN:][:patchN]
+		for gx := range colX {
+			px := colX[gx] - rowX[gy]
+			py := colY[gx] + rowY[gy]
+			if px < 0 || py < 0 || px > maxX || py > maxY {
 				outside++
-				out[gy*patchN+gx] = 0.5
+				row[gx] = 0.5
 				continue
 			}
-			out[gy*patchN+gx] = im.Bilinear(px, py)
+			row[gx] = im.BilinearInterior(px, py)
 		}
 	}
 	return outside <= patchN*patchN/4
 }
 
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
+// dot4 correlates a with four vectors in one pass. Each of the four
+// accumulators sums in index order, as a lone dot product would.
+func dot4(a, b0, b1, b2, b3 *[patchN * patchN]float64) [4]float64 {
+	var s0, s1, s2, s3 float64
+	for i, v := range a {
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+		s2 += v * b2[i]
+		s3 += v * b3[i]
 	}
-	return s
+	return [4]float64{s0, s1, s2, s3}
+}
+
+// dotQuads correlates each quadrant of a with the same quadrant of b in
+// one pass, each sum in index order.
+func dotQuads(a, b *[4][quadN * quadN]float64) [4]float64 {
+	var s0, s1, s2, s3 float64
+	for i := range a[0] {
+		s0 += a[0][i] * b[0][i]
+		s1 += a[1][i] * b[1][i]
+		s2 += a[2][i] * b[2][i]
+		s3 += a[3][i] * b[3][i]
+	}
+	return [4]float64{s0, s1, s2, s3}
 }

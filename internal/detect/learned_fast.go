@@ -204,17 +204,8 @@ func (l *Learned) verifyFast(im *vision.Image, comp *component) (Detection, bool
 // full-resolution patch, lazily — poses whose surviving templates never
 // need votes skip the four normalizations.
 func buildQuads32(scr *fastScratch) {
-	var buf [quadN * quadN]float64
-	for q := 0; q < 4; q++ {
-		ox := (q % 2) * quadN
-		oy := (q / 2) * quadN
-		for y := 0; y < quadN; y++ {
-			for x := 0; x < quadN; x++ {
-				buf[y*quadN+x] = scr.patch[(oy+y)*patchN+(ox+x)]
-			}
-		}
-		normalizePatch(buf[:])
-		for i, v := range buf {
+	for q := range scr.quads {
+		for i, v := range quadrant(&scr.patch, q) {
 			scr.quads[q][i] = float32(v)
 		}
 	}

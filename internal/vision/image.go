@@ -109,14 +109,16 @@ func (im *Image) Bilinear(x, y float64) float64 {
 	if y > float64(im.H-1) {
 		y = float64(im.H - 1)
 	}
+	return im.BilinearInterior(x, y)
+}
+
+// BilinearInterior is Bilinear for points already known to lie in
+// [0, W-1]×[0, H-1], where Bilinear's clamping changes nothing. The
+// learned detector's patch sampler, which tests every sample point
+// against the frame first, calls it directly.
+func (im *Image) BilinearInterior(x, y float64) float64 {
 	x0, y0 := int(x), int(y)
-	x1, y1 := x0+1, y0+1
-	if x1 >= im.W {
-		x1 = im.W - 1
-	}
-	if y1 >= im.H {
-		y1 = im.H - 1
-	}
+	x1, y1 := min(x0+1, im.W-1), min(y0+1, im.H-1)
 	fx, fy := x-float64(x0), y-float64(y0)
 	top := im.Pix[y0*im.W+x0]*(1-fx) + im.Pix[y0*im.W+x1]*fx
 	bot := im.Pix[y1*im.W+x0]*(1-fx) + im.Pix[y1*im.W+x1]*fx
@@ -192,7 +194,7 @@ func (im *Image) String() string {
 }
 
 // Integral is a summed-area table enabling O(1) box sums, used by the
-// adaptive-threshold stage of the classical detector.
+// adaptive-threshold stage of both detectors.
 type Integral struct {
 	W, H int
 	sum  []float64
@@ -208,23 +210,49 @@ func NewIntegral(im *Image) *Integral {
 // Compute (re)builds the summed-area table of im in place, reusing the
 // existing backing array when it is large enough — the per-frame path of
 // the detectors' adaptive threshold allocates nothing in steady state.
+//
+// Each entry is the entry above it plus its image row's running prefix
+// sum. Rows are built four at a time: their four prefix chains are
+// independent, so interleaving them hides the add latency one chain
+// waits on, and every entry is still the sum of the same two operands.
 func (ig *Integral) Compute(im *Image) {
-	n := (im.W + 1) * (im.H + 1)
+	w, stride := im.W, im.W+1
+	n := stride * (im.H + 1)
 	if cap(ig.sum) < n {
 		ig.sum = make([]float64, n)
 	}
 	ig.sum = ig.sum[:n]
 	ig.W, ig.H = im.W, im.H
-	stride := im.W + 1
-	for i := 0; i < stride; i++ {
-		ig.sum[i] = 0 // top border row; interior rows are fully rewritten
+	clear(ig.sum[:stride]) // top border row; the other rows are fully rewritten
+	y := 0
+	for ; y+4 <= im.H; y += 4 {
+		up := ig.sum[y*stride+1:][:w]
+		p0, p1 := im.Pix[y*w:][:w], im.Pix[(y+1)*w:][:w]
+		p2, p3 := im.Pix[(y+2)*w:][:w], im.Pix[(y+3)*w:][:w]
+		s0, s1 := ig.sum[(y+1)*stride+1:][:w], ig.sum[(y+2)*stride+1:][:w]
+		s2, s3 := ig.sum[(y+3)*stride+1:][:w], ig.sum[(y+4)*stride+1:][:w]
+		for k := 1; k <= 4; k++ {
+			ig.sum[(y+k)*stride] = 0 // left border column
+		}
+		var r0, r1, r2, r3 float64
+		for x := range up {
+			r0 += p0[x]
+			r1 += p1[x]
+			r2 += p2[x]
+			r3 += p3[x]
+			a := up[x] + r0
+			b := a + r1
+			c := b + r2
+			s0[x], s1[x], s2[x], s3[x] = a, b, c, c+r3
+		}
 	}
-	for y := 0; y < im.H; y++ {
+	for ; y < im.H; y++ {
+		up, p, s := ig.sum[y*stride+1:][:w], im.Pix[y*w:][:w], ig.sum[(y+1)*stride+1:][:w]
 		ig.sum[(y+1)*stride] = 0 // left border column
-		var row float64
-		for x := 0; x < im.W; x++ {
-			row += im.Pix[y*im.W+x]
-			ig.sum[(y+1)*stride+(x+1)] = ig.sum[y*stride+(x+1)] + row
+		var r float64
+		for x := range up {
+			r += p[x]
+			s[x] = up[x] + r
 		}
 	}
 }
@@ -253,17 +281,14 @@ func (ig *Integral) BoxMean(x0, y0, x1, y1 int) float64 {
 	return s / float64((x1-x0+1)*(y1-y0+1))
 }
 
-// BoxMeanInterior is BoxMean for rectangles already known to lie fully
-// inside the table (0 <= x0 <= x1 < W, 0 <= y0 <= y1 < H): it skips the
-// clamping, and the sum and division are operand-for-operand the same as
-// BoxMean's, so both methods return bit-identical values on in-bounds
-// rectangles. The adaptive-threshold stage uses it for the pixels whose
-// window never crosses the border — the bulk of every frame.
-func (ig *Integral) BoxMeanInterior(x0, y0, x1, y1 int) float64 {
+// Row returns row y (0..H) of the table, W+1 entries: entry x is the sum
+// of the pixels above image row y and left of image column x. A box sum
+// is bottom[x1+1] - top[x1+1] - bottom[x0] + top[x0] over rows y0 and
+// y1+1, the reads BoxMean makes; the detectors' adaptive threshold reads
+// two rows per image row this way.
+func (ig *Integral) Row(y int) []float64 {
 	stride := ig.W + 1
-	s := ig.sum[(y1+1)*stride+(x1+1)] - ig.sum[y0*stride+(x1+1)] -
-		ig.sum[(y1+1)*stride+x0] + ig.sum[y0*stride+x0]
-	return s / float64((x1-x0+1)*(y1-y0+1))
+	return ig.sum[y*stride : (y+1)*stride]
 }
 
 // WritePGM serializes the image as a binary PGM (P5), the simplest format

@@ -118,6 +118,32 @@ func TestIntegralClipsBounds(t *testing.T) {
 	}
 }
 
+// TestIntegralRowsMatchBoxMean pins the table rows the adaptive
+// threshold reads: the box sum over rows y0 and y1+1, divided by the box
+// area, is BoxMean bit for bit on every rectangle of an image.
+func TestIntegralRowsMatchBoxMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	im := NewImage(13, 9)
+	for i := range im.Pix {
+		im.Pix[i] = rng.Float64()
+	}
+	ig := NewIntegral(im)
+	for y0 := 0; y0 < im.H; y0++ {
+		for y1 := y0; y1 < im.H; y1++ {
+			top, bot := ig.Row(y0), ig.Row(y1+1)
+			for x0 := 0; x0 < im.W; x0++ {
+				for x1 := x0; x1 < im.W; x1++ {
+					s := bot[x1+1] - top[x1+1] - bot[x0] + top[x0]
+					got := s / float64((x1-x0+1)*(y1-y0+1))
+					if want := ig.BoxMean(x0, y0, x1, y1); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("rows %d,%d columns %d..%d: %v, BoxMean %v", y0, y1+1, x0, x1, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNewImageNegativeSize(t *testing.T) {
 	im := NewImage(-3, -3)
 	if im.W != 0 || im.H != 0 || len(im.Pix) != 0 {

@@ -133,28 +133,6 @@ func samePixels(t *testing.T, what string, got, want *Image) {
 	}
 }
 
-// TestBoxMeanInteriorMatchesBoxMean pins the clamp-free integral query the
-// adaptive threshold uses for interior pixels: bit-identical to BoxMean on
-// every in-bounds rectangle.
-func TestBoxMeanInteriorMatchesBoxMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	im := NewImage(37, 23)
-	for i := range im.Pix {
-		im.Pix[i] = rng.Float64()
-	}
-	ig := NewIntegral(im)
-	for trial := 0; trial < 500; trial++ {
-		x0, y0 := rng.Intn(im.W), rng.Intn(im.H)
-		x1 := x0 + rng.Intn(im.W-x0)
-		y1 := y0 + rng.Intn(im.H-y0)
-		a := ig.BoxMean(x0, y0, x1, y1)
-		b := ig.BoxMeanInterior(x0, y0, x1, y1)
-		if a != b {
-			t.Fatalf("BoxMeanInterior(%d,%d,%d,%d) = %v, BoxMean = %v", x0, y0, x1, y1, b, a)
-		}
-	}
-}
-
 // TestContainsGroundRotMatchesContainsGround pins the hoisted-rotation
 // containment test against the trig-per-call original.
 func TestContainsGroundRotMatchesContainsGround(t *testing.T) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +25,6 @@ BenchmarkCellAffinity-4         100       581034 ns/op      41.7 affine-hit-%   
 BenchmarkRender-4              1000       408527 ns/op       524 B/op       0 allocs/op
 BenchmarkRenderSweep-4          200       433504 ns/op         4 B/op       0 allocs/op
 BenchmarkDepthCapture-4        1000        30587 ns/op        58 B/op       0 allocs/op
-BenchmarkRaycast-4             1000          121.3 ns/op       0 B/op       0 allocs/op
 BenchmarkGroundHeight-4        1000           12.65 ns/op      0 B/op       0 allocs/op
 BenchmarkInsertCloud/Octree-4           1000    405120 ns/op     0 B/op       0 allocs/op
 BenchmarkInsertCloud/LocalGrid-4        1000    190575 ns/op     0 B/op       0 allocs/op
@@ -354,7 +354,7 @@ func checkZeroAllocEntry(t *testing.T, line, name string) {
 func TestGateFailsMissingBenchmark(t *testing.T) {
 	var kept []string
 	for _, line := range strings.Split(goodBench, "\n") {
-		if strings.HasPrefix(line, "BenchmarkRaycast") {
+		if strings.HasPrefix(line, "BenchmarkGroundHeight") {
 			continue
 		}
 		kept = append(kept, line)
@@ -363,8 +363,68 @@ func TestGateFailsMissingBenchmark(t *testing.T) {
 	if err == nil {
 		t.Fatalf("missing benchmark passed the gate:\n%s", out)
 	}
-	if !strings.Contains(out, "BenchmarkRaycast") {
+	if !strings.Contains(out, "BenchmarkGroundHeight: missing") {
 		t.Errorf("violation does not name the missing benchmark:\n%s", out)
+	}
+}
+
+// pairedBench is goodBench with its single BenchmarkRun/BenchmarkRunFast
+// pair replaced by back-to-back pairs, BenchmarkRun at 300 ms/op and
+// BenchmarkRunFast at 300 ms/op divided by each pair's speedup.
+func pairedBench(t *testing.T, speedups ...float64) string {
+	t.Helper()
+	var b strings.Builder
+	for _, line := range strings.Split(goodBench, "\n") {
+		if !strings.HasPrefix(line, "BenchmarkRun-") && !strings.HasPrefix(line, "BenchmarkRunFast-") {
+			b.WriteString(line + "\n")
+		}
+	}
+	for _, s := range speedups {
+		fmt.Fprintf(&b, "BenchmarkRun-4                    5    300000000 ns/op   8618862 B/op   11771 allocs/op\n")
+		fmt.Fprintf(&b, "BenchmarkRunFast-4                5    %.0f ns/op   8665360 B/op   10258 allocs/op\n", 300e6/s)
+	}
+	return b.String()
+}
+
+// TestGateFastSpeedupMedianOfPairs pins the paired ratio gate: one slow
+// pair among five passes when the median holds, a median under 1.8x
+// fails and names every pair, a single pair still gates alone, and
+// unpaired readings fail.
+func TestGateFastSpeedupMedianOfPairs(t *testing.T) {
+	if err, out := gate(t, pairedBench(t, 2.5, 1.3, 2.1, 2.4, 1.9), baselineJSON, 0.10); err != nil {
+		t.Errorf("one bad pair with a 2.10x median failed: %v\n%s", err, out)
+	} else if !strings.Contains(out, "median 2.10x >= 1.80x over 5") {
+		t.Errorf("ok line does not report the median of 5 pairs:\n%s", out)
+	}
+	err, out := gate(t, pairedBench(t, 2.5, 1.3, 1.7, 1.6, 1.9), baselineJSON, 0.10)
+	if err == nil {
+		t.Fatalf("a 1.70x median passed the gate:\n%s", out)
+	}
+	if !strings.Contains(out, "median BenchmarkRun/BenchmarkRunFast = 1.70x over 5 pairs (2.50 1.30 1.70 1.60 1.90)") {
+		t.Errorf("violation does not report the median and the pairs:\n%s", out)
+	}
+	if err, out := gate(t, pairedBench(t, 1.85), baselineJSON, 0.10); err != nil {
+		t.Errorf("a single 1.85x pair failed: %v\n%s", err, out)
+	}
+	if err, out := gate(t, pairedBench(t, 1.75), baselineJSON, 0.10); err == nil {
+		t.Errorf("a single 1.75x pair passed:\n%s", out)
+	}
+	unpaired := pairedBench(t, 2.5, 2.5) + "BenchmarkRun-4   5   300000000 ns/op   8618862 B/op   11771 allocs/op\n"
+	if err, out := gate(t, unpaired, baselineJSON, 0.10); err == nil || !strings.Contains(out, "3 BenchmarkRun readings but 2 BenchmarkRunFast") {
+		t.Errorf("unpaired readings passed or went unnamed: %v\n%s", err, out)
+	}
+}
+
+// TestGateAllocsEveryReading pins that the allocation gates read every
+// reading of a repeated benchmark, not just the last: one over-budget
+// BenchmarkRunFast pair among five fails.
+func TestGateAllocsEveryReading(t *testing.T) {
+	bench := pairedBench(t, 2, 2, 2, 2, 2)
+	i := strings.Index(bench, "10258 allocs/op")
+	bench = bench[:i] + "13500 allocs/op" + bench[i+len("10258 allocs/op"):]
+	err, out := gate(t, bench, baselineJSON, 0.10)
+	if err == nil || !strings.Contains(out, "BenchmarkRunFast: 13500 allocs/op exceeds") {
+		t.Errorf("one allocating reading among five passed or went unnamed: %v\n%s", err, out)
 	}
 }
 
@@ -383,17 +443,24 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := res["BenchmarkRun"]
-	if !ok || !m.HasAlloc || m.AllocsOp != 11771 || m.NsOp != 302838874 {
-		t.Errorf("BenchmarkRun parsed as %+v", m)
+	if r := res["BenchmarkRun"]; len(r) != 1 || !r[0].HasAlloc || r[0].AllocsOp != 11771 || r[0].NsOp != 302838874 {
+		t.Errorf("BenchmarkRun parsed as %+v", r)
 	}
-	if m := res["BenchmarkGroundHeight"]; m.NsOp != 12.65 || m.AllocsOp != 0 || !m.HasAlloc {
-		t.Errorf("BenchmarkGroundHeight parsed as %+v", m)
+	if r := res["BenchmarkGroundHeight"]; len(r) != 1 || r[0].NsOp != 12.65 || r[0].AllocsOp != 0 || !r[0].HasAlloc {
+		t.Errorf("BenchmarkGroundHeight parsed as %+v", r)
 	}
 	// Sub-benchmarks keep their slash names and tolerate missing alloc
 	// columns.
-	if m, ok := res["BenchmarkCampaign/workers=4"]; !ok || m.HasAlloc {
-		t.Errorf("BenchmarkCampaign/workers=4 parsed as %+v (ok=%v)", m, ok)
+	if r, ok := res["BenchmarkCampaign/workers=4"]; !ok || len(r) != 1 || r[0].HasAlloc {
+		t.Errorf("BenchmarkCampaign/workers=4 parsed as %+v (ok=%v)", r, ok)
+	}
+	// Repeated benchmarks keep every reading, in file order.
+	res, err = parseBench(strings.NewReader(goodBench + "BenchmarkRun-4   5   1 ns/op   2 B/op   3 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res["BenchmarkRun"]; len(r) != 2 || r[0].NsOp != 302838874 || r[1].NsOp != 1 || r[1].AllocsOp != 3 {
+		t.Errorf("repeated BenchmarkRun parsed as %+v", r)
 	}
 	if _, err := parseBench(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty input did not error")
