@@ -37,8 +37,8 @@ import (
 	"repro/internal/detect"
 	"repro/internal/fault"
 	"repro/internal/geom"
-	"repro/internal/hil"
 	"repro/internal/mapping"
+	"repro/internal/obs"
 	"repro/internal/planning"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -175,22 +175,20 @@ func BenchmarkTableII_Detection(b *testing.B) {
 
 var tableIIIOnce sync.Once
 
-func hilRun(seed int64, mi, si int) (scenario.Result, *hil.Monitor, error) {
+func hilRun(seed int64, mi, si int) (scenario.Result, error) {
 	c := catalog.HILMAXN
 	sc, err := worldgen.Generate(mi, si)
 	if err != nil {
-		return scenario.Result{}, nil, err
+		return scenario.Result{}, err
 	}
 	sys, err := scenario.BuildSystem(core.V3, sc, seed)
 	if err != nil {
-		return scenario.Result{}, nil, err
+		return scenario.Result{}, err
 	}
 	cfg := scenario.DefaultRunConfig(seed)
 	cfg.Timing = c.Plan().Timing
 	c.Configure()(campaign.Run{}, sc, sys, &cfg)
-	mon := hil.NewMonitor(c.Platform, c.Costs)
-	cfg.Observer = mon
-	return scenario.Run(sc, sys, cfg), mon, nil
+	return scenario.Run(sc, sys, cfg), nil
 }
 
 func BenchmarkTableIII_HIL(b *testing.B) {
@@ -201,30 +199,25 @@ func BenchmarkTableIII_HIL(b *testing.B) {
 			idxs = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 		}
 		var results []scenario.Result
-		var meanCPU, meanMem float64
-		n := 0
 		for mi := 0; mi < 10; mi++ {
 			for _, si := range idxs {
 				seed := int64(mi)*1_000_003 + int64(si)*9_176 + 300
-				r, mon, err := hilRun(seed, mi, si)
+				r, err := hilRun(seed, mi, si)
 				if err != nil {
 					b.Fatal(err)
 				}
 				results = append(results, r)
-				meanCPU += mon.MeanCPU()
-				meanMem += mon.MeanMemMB()
-				n++
 			}
 		}
 		agg := scenario.Summarize("MLS-V3", results)
 		fmt.Printf("  %-8s success %6.2f%%  collision %6.2f%%  poor-landing %6.2f%%\n",
 			agg.System, agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate())
 		fmt.Printf("  resources: mean CPU %.0f%% of 400%%, mean RAM %.2f GB of 2.9 GB\n",
-			meanCPU/float64(n), meanMem/float64(n)/1000)
+			agg.MeanCPU, agg.MeanMemMB/1000)
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := hilRun(7, 0, 4); err != nil {
+		if _, err := hilRun(7, 0, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,31 +377,49 @@ func BenchmarkFig7_Resources(b *testing.B) {
 	fig7Once.Do(func() {
 		fmt.Println("\n=== Fig. 7 — Jetson Nano resource usage, HIL vs field profile ===")
 		for _, c := range []*catalog.Campaign{catalog.HILMAXN, catalog.Field} {
-			sc, err := worldgen.Generate(0, 4)
+			tr := obs.NewTrace(1 << 16)
+			r, err := fig7Run(c, tr)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sys, err := scenario.BuildSystem(core.V3, sc, 9)
-			if err != nil {
-				b.Fatal(err)
+			peakCPU := 0.0
+			for _, ev := range tr.Events() {
+				if ev.Kind == "resource" {
+					peakCPU = max(peakCPU, ev.Value)
+				}
 			}
-			cfg := scenario.DefaultRunConfig(9)
-			cfg.Timing = c.Plan().Timing
-			c.Configure()(campaign.Run{}, sc, sys, &cfg)
-			mon := hil.NewMonitor(c.Platform, c.Costs)
-			cfg.Observer = mon
-			scenario.Run(sc, sys, cfg)
-			peakCPU, peakMem := mon.Peak()
 			fmt.Printf("  %-8s mean CPU %3.0f%% (peak %3.0f%%) of 400%%, mean RAM %.2f GB (peak %.2f GB)\n",
-				c.Name, mon.MeanCPU(), peakCPU, mon.MeanMemMB()/1000, peakMem/1000)
+				c.Name, r.Resources.MeanCPU, peakCPU, r.Resources.MeanMemMB/1000, r.Resources.PeakMemMB/1000)
 		}
 	})
-	mon := hil.NewMonitor(catalog.Field.Platform, catalog.Field.Costs)
+	// Unit: one field mission with its load charged to the Nano, the run
+	// one Fig. 7 row summarizes.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mon.RecordDetect()
-		mon.Advance(0.05, float64(i)*0.05, 1_000_000)
+		if _, err := fig7Run(catalog.Field, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// fig7Run flies map 0, scenario 4 on campaign c's platform, recording to
+// rec when it is non-nil.
+func fig7Run(c *catalog.Campaign, rec obs.Recorder) (scenario.Result, error) {
+	sc, err := worldgen.Generate(0, 4)
+	if err != nil {
+		return scenario.Result{}, err
+	}
+	sys, err := scenario.BuildSystem(core.V3, sc, 9)
+	if err != nil {
+		return scenario.Result{}, err
+	}
+	cfg := scenario.DefaultRunConfig(9)
+	cfg.Timing = c.Plan().Timing
+	c.Configure()(campaign.Run{}, sc, sys, &cfg)
+	if rec != nil {
+		cfg.Recorder = rec
+	}
+	return scenario.Run(sc, sys, cfg), nil
 }
 
 // --------------------------------------- Real-world accuracy (paper §V-C)

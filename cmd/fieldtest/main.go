@@ -5,8 +5,9 @@
 //
 // The campaign is the catalog's field entry: an explicit flight list (each
 // flight pairs one map with one scenario) and a configure hook that
-// applies the field's weather floors and spurious-depth rate per flight.
-// Ordered delivery keeps the flight log sequential.
+// applies the field's weather floors and spurious-depth rate per flight
+// and charges its load to the Jetson Nano. Ordered delivery keeps the
+// flight log sequential.
 //
 // Reported outputs:
 //   - mean landing error (paper: ≈60 cm vs ≈25 cm in SIL/HIL)
@@ -18,19 +19,19 @@
 // so this tool doubles as the resume-after-cancel demonstration: run with
 // -checkpoint, Ctrl-C mid-campaign, rerun the same command and the flown
 // flights replay from the journal while only the remainder fly. The final
-// flight log and aggregates are bit-identical to an uninterrupted
-// campaign (compare the printed aggregate digests). The mean CPU/RAM line
-// and the fault timeline come from this process's per-flight monitors, so
-// after a resume they name the number of flights they cover.
+// flight log, aggregates and figures are bit-identical to an
+// uninterrupted campaign (compare the printed aggregate digests): every
+// figure is pooled from the flights' own Results, and Fig. 7's series and
+// the fault timeline are read from one flight re-flown with a flight
+// recorder. -serve and -merge print the same figure lines; -resources
+// and -csv need the flights' Results, so they run locally only.
 package main
 
 import (
 	"bytes"
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 
@@ -38,7 +39,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/hil"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -53,19 +53,23 @@ func main() {
 	if err := cf.Validate(); err != nil {
 		cliutil.Fatal("fieldtest", 2, err)
 	}
+	if err := figureFlags(cf, *resources, *csvPath); err != nil {
+		cliutil.Fatal("fieldtest", 2, err)
+	}
 
 	if err := cf.StartDebug("fieldtest"); err != nil {
 		cliutil.Fatal("fieldtest", 1, err)
 	}
 
+	c := catalog.Field
 	if cf.Merge {
-		printAggregates(cliutil.Merge("fieldtest", "flights", flag.Args()))
+		printAggregates(cliutil.Merge("fieldtest", "flights", c.Profile(), flag.Args()))
 		return
 	}
 	if cf.Join != "" {
 		// A worker needs no spec of its own: leases carry the campaign and
 		// name the run-configuration profile (weather floors, depth-error
-		// rate) to apply.
+		// rate, platform) to apply.
 		cf.Distributed("fieldtest", campaign.Spec{}, "")
 		dumpMetrics(cf)
 		return
@@ -78,7 +82,6 @@ func main() {
 	// The fault plan rides the field timing into the campaign (beyond the
 	// field's built-in degradations), and so does the fleet spec
 	// (multi-drone field trials in one constrained airspace).
-	c := catalog.Field
 	spec, err := c.Spec(catalog.Grid{Runs: *runs}, knobs)
 	if err != nil {
 		cliutil.Fatal("fieldtest", 2, err)
@@ -108,39 +111,15 @@ func main() {
 		return
 	}
 
-	mons := c.Monitor(&spec)
 	// Ordered delivery keeps the flight log in flight order; Ctrl-C
 	// cancels between flights, and with -checkpoint nothing is lost.
 	opts := cf.Options("fieldtest")
-	var drifts []float64
 	opts.OnResult = func(ru campaign.Run, r scenario.Result) {
-		drifts = append(drifts, r.MaxGPSDrift)
 		fmt.Printf("  flight %2d map%d sc%d: %-12s landErr=%.2fm drift=%.2fm\n",
 			ru.Rep, ru.MapIdx, ru.ScenarioIdx, r.Outcome, r.LandingError, r.MaxGPSDrift)
 	}
-	// The flight recorder chains behind the field hook and the monitor,
-	// one header + events block per flight.
 	report := cf.Execute("fieldtest", spec, opts)
-
-	results := report.Results
-
 	agg := *report.Aggregates[core.V3]
-	agg.System = "MLS-V3-field"
-	// The paper's 60 cm figure is the average over landed flights, pad or
-	// no pad — GPS drift and wind on final are exactly what pushed some
-	// landings wide.
-	var landSum float64
-	var landN int
-	for _, r := range results {
-		if r.Landed && !math.IsNaN(r.LandingError) {
-			landSum += r.LandingError
-			landN++
-		}
-	}
-	var driftSum float64
-	for _, d := range drifts {
-		driftSum += d
-	}
 
 	fmt.Println("\nReal-world results (paper §V-C)")
 	if cf.Pipeline {
@@ -151,109 +130,89 @@ func main() {
 	fmt.Printf("  success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights (%.1fs wall on %d workers, %.2fx speedup)\n",
 		agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs,
 		report.Wall.Seconds(), report.Workers, report.Speedup())
-	if landN > 0 {
-		fmt.Printf("  mean landing error: %.2f m (paper: ~0.60 m field vs ~0.25 m SIL/HIL)\n",
-			landSum/float64(landN))
+	printFigures(agg)
+	timeline, err := cliutil.FaultTimeline(spec, report.Results)
+	if err != nil {
+		cliutil.Fatal("fieldtest", 1, err)
 	}
-	if len(drifts) > 0 {
-		fmt.Printf("  mean max GPS drift: %.2f m (Fig. 5d)\n", driftSum/float64(len(drifts)))
-	}
-	if line := resourceLine(mons); line != "" {
-		fmt.Println(line)
-	}
-	printFleetAndDependability(agg)
-	if agg.DependabilityString() != "" {
-		for _, mon := range mons {
-			if mon != nil && len(mon.FaultEvents()) > 0 {
-				fmt.Printf("fault timeline of the first monitored flight%s:\n", flownScope(mons))
-				for _, ev := range mon.FaultEvents() {
-					fmt.Println(obs.FormatEvent(ev))
-				}
-				break
-			}
+	if len(timeline) > 0 {
+		fmt.Println("fault timeline of the first monitored flight:")
+		for _, ev := range timeline {
+			fmt.Println(obs.FormatEvent(ev))
 		}
 	}
 
-	mon0 := mons[0] // nil when flight 0 was replayed from the journal
-	if *resources {
-		fmt.Println("\nFig. 7 — per-second resource series of flight 0")
-		if mon0 == nil {
-			fmt.Println("  " + errNoSeries.Error())
-		} else {
-			fmt.Printf("%6s %8s %8s %8s %8s %8s %10s\n", "t", "core0", "core1", "core2", "core3", "cpu%", "memMB")
-			for _, s := range mon0.Samples() {
-				fmt.Printf("%6.0f %7.0f%% %7.0f%% %7.0f%% %7.0f%% %7.0f%% %10.0f\n",
-					s.T, s.PerCore[0], s.PerCore[1], s.PerCore[2], s.PerCore[3], s.CPUPercent, s.MemMB)
-			}
-		}
-	}
-
-	if *csvPath != "" {
-		if err := writeSeriesFile(*csvPath, mon0); err != nil {
+	if *resources || *csvPath != "" {
+		series, err := cliutil.ReflownEvents(spec, 0, report.Results[0], "resource")
+		if err != nil {
 			cliutil.Fatal("fieldtest", 1, err)
 		}
-		fmt.Printf("\nFig. 7 series written to %s\n", *csvPath)
+		if *resources {
+			fmt.Println("\nFig. 7 — per-second resource series of flight 0")
+			fmt.Printf("%6s %8s %8s %8s %8s %8s %10s\n", "t", "core0", "core1", "core2", "core3", "cpu%", "memMB")
+			for _, s := range series {
+				// Every core runs at one level (the platform's waterfill).
+				core := s.Value / float64(c.Platform.Cores)
+				fmt.Printf("%6.0f %7.0f%% %7.0f%% %7.0f%% %7.0f%% %7.0f%% %10.0f\n",
+					s.T, core, core, core, core, s.Value, s.MemMB)
+			}
+		}
+		if *csvPath != "" {
+			if err := os.WriteFile(*csvPath, seriesCSV(series), 0o666); err != nil {
+				cliutil.Fatal("fieldtest", 1, err)
+			}
+			fmt.Printf("\nFig. 7 series written to %s\n", *csvPath)
+		}
 	}
 	dumpMetrics(cf)
 }
 
-// flownScope labels a figure drawn from the per-flight monitors: they
-// exist only for the flights this process flew, so after a resume the
-// figure covers fewer than all flights, and says how many.
-func flownScope(mons []*hil.Monitor) string {
-	flown := 0
-	for _, mon := range mons {
-		if mon != nil {
-			flown++
+// figureFlags refuses -resources and -csv where no flight's Result is at
+// hand to re-fly flight 0 against: a coordinator (-serve) and a
+// campaign result file (-merge) hold only aggregates, and a worker
+// (-join) flies leases, not the campaign.
+func figureFlags(cf *cliutil.CampaignFlags, resources bool, csvPath string) error {
+	if (resources || csvPath != "") && (cf.Merge || cf.Serve != "" || cf.Join != "") {
+		return fmt.Errorf("-resources and -csv read flight 0 of a campaign flown here; drop them with -serve, -join or -merge")
+	}
+	return nil
+}
+
+// printFigures prints §V-C's figures — the mean landing error of the
+// landed flights, the mean max GPS drift and the mean CPU and RAM —
+// then the fleet and fault rows. Every path prints through it, and every
+// figure is pooled from the flights' own Results, so a fresh, resumed,
+// served or merged campaign prints the same lines. A flight replayed from
+// a journal written before flights carried a resource summary has none;
+// the figures then say how many are missing instead of covering the rest.
+func printFigures(agg scenario.Aggregate) {
+	agg.System = "MLS-V3-field"
+	if missing := agg.Runs - agg.PlatformRuns; missing > 0 {
+		fmt.Printf("  no landing-error, drift or CPU/RAM figure: %d of %d flights carry no resource summary (replayed from a journal written before flights recorded one)\n",
+			missing, agg.Runs)
+	} else {
+		// The paper's 60 cm figure is the average over landed flights, pad
+		// or no pad.
+		if agg.LandedRuns > 0 {
+			fmt.Printf("  mean landing error: %.2f m (paper: ~0.60 m field vs ~0.25 m SIL/HIL)\n", agg.MeanLandedError)
 		}
+		fmt.Printf("  mean max GPS drift: %.2f m (Fig. 5d)\n", agg.MeanMaxGPSDrift)
+		fmt.Printf("  mean CPU %.0f%% aggregate, mean RAM %.2f GB (Fig. 7: above HIL's)\n",
+			agg.MeanCPU, agg.MeanMemMB/1000)
 	}
-	if flown == len(mons) {
-		return ""
-	}
-	return fmt.Sprintf(" over the %d flights flown this session", flown)
+	cliutil.PrintFleetAndDependability(agg)
 }
 
-// resourceLine is §V-C's mean CPU and RAM line over the monitored flights,
-// or "" when this process flew none.
-func resourceLine(mons []*hil.Monitor) string {
-	var meanCPU, meanMem float64
-	count := 0
-	for _, mon := range mons {
-		if mon != nil {
-			meanCPU += mon.MeanCPU()
-			meanMem += mon.MeanMemMB()
-			count++
-		}
-	}
-	if count == 0 {
-		return ""
-	}
-	return fmt.Sprintf("  mean CPU %.0f%% aggregate, mean RAM %.2f GB%s (Fig. 7: above HIL's)",
-		meanCPU/float64(count), meanMem/float64(count)/1000, flownScope(mons))
-}
-
-var errNoSeries = errors.New("flight 0 was replayed from the checkpoint journal, so its Fig. 7 series was not recorded in this run")
-
-// writeSeriesFile writes flight 0's Fig. 7 series to path as CSV. It
-// refuses, writing nothing, when the flight has no monitor (errNoSeries):
-// a header-only file would pass for a recorded series.
-func writeSeriesFile(path string, mon *hil.Monitor) error {
-	if mon == nil {
-		return fmt.Errorf("-csv %s: %w", path, errNoSeries)
-	}
-	return os.WriteFile(path, seriesCSV(mon.Samples()), 0o666)
-}
-
-// seriesCSV renders Fig. 7 samples as CSV rows t, cpu_percent, mem_mb:
-// time with 2 decimals, the two levels with 3.
-func seriesCSV(samples []hil.Sample) []byte {
+// seriesCSV renders Fig. 7's resource events as CSV rows t, cpu_percent,
+// mem_mb: time with 2 decimals, the two levels with 3.
+func seriesCSV(series []obs.Event) []byte {
 	var b bytes.Buffer
 	cw := csv.NewWriter(&b)
 	cw.Write([]string{"t", "cpu_percent", "mem_mb"})
-	for _, s := range samples {
+	for _, s := range series {
 		cw.Write([]string{
 			strconv.FormatFloat(s.T, 'f', 2, 64),
-			strconv.FormatFloat(s.CPUPercent, 'f', 3, 64),
+			strconv.FormatFloat(s.Value, 'f', 3, 64),
 			strconv.FormatFloat(s.MemMB, 'f', 3, 64),
 		})
 	}
@@ -261,9 +220,8 @@ func seriesCSV(samples []hil.Sample) []byte {
 	return b.Bytes()
 }
 
-// printAggregates is the report of -serve and -merge: every row the
-// campaign's MLS-V3 aggregate holds. Per-flight drift and resource series
-// are not among them; they exist only in the process that flew the runs.
+// printAggregates is the report of -serve and -merge: the campaign's
+// outcome rates, then the same figures a local run prints.
 func printAggregates(aggs map[core.Generation]*scenario.Aggregate) {
 	agg := aggs[core.V3]
 	if agg == nil {
@@ -271,22 +229,7 @@ func printAggregates(aggs map[core.Generation]*scenario.Aggregate) {
 	}
 	fmt.Printf("success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights\n",
 		agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs)
-	fmt.Printf("mean landing error %.2f m, FNR %.2f%%\n", agg.MeanLandingError, 100*agg.FalseNegativeRate)
-	printFleetAndDependability(*agg)
-	fmt.Println("(per-flight drift and resource series live on the machines that executed each shard)")
-}
-
-// printFleetAndDependability prints the airspace and fault-campaign rows;
-// each is silent when its knob is off.
-func printFleetAndDependability(agg scenario.Aggregate) {
-	if row := agg.FleetString(); row != "" {
-		fmt.Println("\nAirspace deconfliction (fleet campaign)")
-		fmt.Println(row)
-	}
-	if row := agg.DependabilityString(); row != "" {
-		fmt.Println("\nDependability (fault campaign)")
-		fmt.Println(row)
-	}
+	printFigures(*agg)
 }
 
 // dumpMetrics honors -metrics on the way out.

@@ -9,16 +9,18 @@
 // 2.9 GB available) that §V-B attributes the degradation to.
 //
 // The sweep is the catalog's hil-maxn campaign (-mode 5w: hil-5w), run
-// across -workers cores; each run gets its own hil.Monitor chained behind
-// the campaign's per-run configure hook, so the resource series are
-// collected exactly as in the sequential loop.
+// across -workers cores. The campaign's per-run hook charges every run's
+// module work to the platform, so each run's Result carries its own
+// resource summary and the Table III resource lines are pooled from the
+// Results like every other row.
 //
 // Campaigns at scale: -checkpoint journals finished runs for crash-safe
 // resume; -serve coordinates the campaign across -join workers (the custom
 // HIL seed derivation ships inside each lease, by value) and -serve -out
-// persists the merged result for -merge to print again. Outcome
-// aggregates are bit-identical to one uninterrupted run in all cases;
-// resource series exist only for runs executed in this process.
+// persists the merged result for -merge to print again. Every row,
+// resource lines included, is bit-identical to one uninterrupted run in
+// all cases; the fault timeline is read from the first faulted run,
+// re-flown, wherever the campaign's runs are at hand (fresh or resumed).
 package main
 
 import (
@@ -50,8 +52,13 @@ func main() {
 		cliutil.Fatal("hilbench", 1, err)
 	}
 
+	c, err := powerMode(*mode)
+	if err != nil {
+		cliutil.Fatal("hilbench", 2, err)
+	}
 	if cf.Merge {
-		printAggregates(cliutil.Merge("hilbench", "runs", flag.Args()))
+		fmt.Println()
+		printReport(c, cliutil.Merge("hilbench", "runs", c.Profile(), flag.Args()), nil)
 		return
 	}
 	if cf.Join != "" {
@@ -62,10 +69,6 @@ func main() {
 		return
 	}
 
-	c, err := powerMode(*mode)
-	if err != nil {
-		cliutil.Fatal("hilbench", 2, err)
-	}
 	knobs, err := cf.Knobs()
 	if err != nil {
 		cliutil.Fatal("hilbench", 2, err)
@@ -102,17 +105,14 @@ func main() {
 	fmt.Println()
 
 	// Fleet mode: workers resolve the campaign's profile name to the same
-	// replan/guard cadences this process would apply locally.
+	// replan/guard cadences and platform this process would apply locally.
 	if aggs, handled := cf.Distributed("hilbench", spec, c.Profile()); handled {
-		printAggregates(aggs)
+		fmt.Println()
+		printReport(c, aggs, nil)
 		dumpMetrics(cf)
 		return
 	}
 
-	// One monitor per run behind the campaign's hook. The flight recorder
-	// chains behind both (every event reaches each), one header + events
-	// block per run in canonical order.
-	mons := c.Monitor(&spec)
 	opts := cf.Options("hilbench")
 	if *verbose {
 		opts.OnResult = func(ru campaign.Run, r scenario.Result) {
@@ -123,24 +123,8 @@ func main() {
 
 	report := cf.Execute("hilbench", spec, opts)
 
-	agg := *report.Aggregates[core.V3]
-	runs := agg.Runs
-	var meanCPU, meanMem, peakMem float64
-	monN := 0
-	for _, mon := range mons {
-		if mon == nil {
-			continue
-		}
-		meanCPU += mon.MeanCPU()
-		meanMem += mon.MeanMemMB()
-		if _, m := mon.Peak(); m > peakMem {
-			peakMem = m
-		}
-		monN++
-	}
-
 	fmt.Printf("completed %d runs in %.1fs wall (%.1fs of runs on %d workers, %.2fx speedup vs -workers=1)\n",
-		runs, report.Wall.Seconds(), report.Busy.Seconds(), report.Workers, report.Speedup())
+		len(report.Results), report.Wall.Seconds(), report.Busy.Seconds(), report.Workers, report.Speedup())
 	hits, misses, resident := worldgen.Shared.Stats()
 	fmt.Printf("world cache: %d hits / %d generations, %d worlds resident\n",
 		hits, misses, resident)
@@ -148,53 +132,13 @@ func main() {
 		ps := scenario.ReadPipelineStats()
 		fmt.Printf("%s (%d runs, %d perception batches)\n",
 			telemetry.OverlapSummary(ps.StageBusy, ps.Stall, ps.Wall), ps.Runs, ps.Batches)
-		var batches, detects, depths, maxDelay int
-		var delaySum float64
-		for _, mon := range mons {
-			if mon == nil {
-				continue
-			}
-			b, de, dp, mean, mx := mon.StageStats()
-			batches += b
-			detects += de
-			depths += dp
-			delaySum += mean * float64(b)
-			if mx > maxDelay {
-				maxDelay = mx
-			}
-		}
-		if batches > 0 {
-			fmt.Printf("stage timing: %d batches (%d detect, %d depth), mean delivery %.1f ticks, max %d\n",
-				batches, detects, depths, delaySum/float64(batches), maxDelay)
-		}
 	}
 	fmt.Printf("aggregate digest: %s\n\n", report.Digest())
-	printTableIII(agg)
-	printFleetAndDependability(agg)
-	if agg.DependabilityString() != "" {
-		for _, mon := range mons {
-			if mon != nil && len(mon.FaultEvents()) > 0 {
-				fmt.Println("fault timeline of the first monitored run:")
-				for _, ev := range mon.FaultEvents() {
-					fmt.Println(obs.FormatEvent(ev))
-				}
-				break
-			}
-		}
+	timeline, err := cliutil.FaultTimeline(spec, report.Results)
+	if err != nil {
+		cliutil.Fatal("hilbench", 1, err)
 	}
-
-	if monN > 0 {
-		scope := ""
-		if monN < runs {
-			scope = fmt.Sprintf(" over the %d runs executed this session", monN)
-		}
-		fmt.Printf("\nResource summary (%s)%s:\n", c.Platform.Name, scope)
-		fmt.Printf("  mean CPU %.0f%% of %d00%% aggregate; mean RAM %.2f GB, peak %.2f GB of %.1f GB available\n",
-			meanCPU/float64(monN), c.Platform.Cores,
-			meanMem/float64(monN)/1000, peakMem/1000, float64(c.Platform.MemTotalMB)/1000)
-	}
-	fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
-		100*agg.FalseNegativeRate, agg.MeanLandingError)
+	printReport(c, report.Aggregates, timeline)
 	dumpMetrics(cf)
 }
 
@@ -216,38 +160,40 @@ func dumpMetrics(cf *cliutil.CampaignFlags) {
 	}
 }
 
-// printAggregates is the report of -serve and -merge: every row the
-// campaign's MLS-V3 aggregate holds. Resource series are not among them;
-// they exist only in the process that flew the runs.
-func printAggregates(aggs map[core.Generation]*scenario.Aggregate) {
+// printReport prints every row of the campaign's MLS-V3 aggregate:
+// Table III, the fleet and fault rows, the Table III resource summary
+// and the auxiliary figures. The local, resumed, -serve and -merge paths
+// all print through it, so they print the same lines; timeline, the
+// fault timeline of one re-flown run, exists only where the campaign's
+// runs are at hand.
+func printReport(c *catalog.Campaign, aggs map[core.Generation]*scenario.Aggregate, timeline []obs.Event) {
 	agg := aggs[core.V3]
 	if agg == nil {
 		cliutil.Fatal("hilbench", 1, fmt.Errorf("the campaign carries no MLS-V3 aggregate"))
 	}
-	fmt.Println()
-	printTableIII(*agg)
-	printFleetAndDependability(*agg)
-	fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
-		100*agg.FalseNegativeRate, agg.MeanLandingError)
-	fmt.Println("(resource series live on the machines that executed each shard)")
-}
-
-func printTableIII(agg scenario.Aggregate) {
 	fmt.Println("Table III — Experiment Results of HIL Testing")
 	fmt.Printf("%-10s %-22s %-26s %-26s\n", "System", "Successful Landing", "Failure (Collision)", "Failure (Poor Landing)")
 	fmt.Printf("%-10s %20.2f%% %24.2f%% %24.2f%%\n",
 		agg.System, agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate())
-}
-
-// printFleetAndDependability prints the airspace and fault-campaign rows;
-// each is silent when its knob is off.
-func printFleetAndDependability(agg scenario.Aggregate) {
-	if row := agg.FleetString(); row != "" {
-		fmt.Println("\nAirspace deconfliction (fleet campaign)")
-		fmt.Println(row)
+	cliutil.PrintFleetAndDependability(*agg)
+	if len(timeline) > 0 {
+		fmt.Println("fault timeline of the first monitored run:")
+		for _, ev := range timeline {
+			fmt.Println(obs.FormatEvent(ev))
+		}
 	}
-	if row := agg.DependabilityString(); row != "" {
-		fmt.Println("\nDependability (fault campaign)")
-		fmt.Println(row)
+	// A run replayed from a journal written before runs carried a
+	// resource summary has none: the summary then counts the missing runs
+	// instead of averaging the rest.
+	fmt.Printf("\nResource summary (%s):\n", c.Platform.Name)
+	if missing := agg.Runs - agg.PlatformRuns; missing > 0 {
+		fmt.Printf("  none: %d of %d runs carry no resource summary (replayed from a journal written before runs recorded one)\n",
+			missing, agg.Runs)
+	} else {
+		fmt.Printf("  mean CPU %.0f%% of %d00%% aggregate; mean RAM %.2f GB, peak %.2f GB of %.1f GB available\n",
+			agg.MeanCPU, c.Platform.Cores,
+			agg.MeanMemMB/1000, agg.PeakMemMB/1000, float64(c.Platform.MemTotalMB)/1000)
 	}
+	fmt.Printf("\nAuxiliary: FNR %.2f%%, mean landing error %.2f m\n",
+		100*agg.FalseNegativeRate, agg.MeanLandingError)
 }

@@ -81,7 +81,7 @@ func main() {
 	}
 
 	if cf.Merge {
-		merged := cliutil.Merge("silbench", "runs", flag.Args())
+		merged := cliutil.Merge("silbench", "runs", catalog.SIL.Profile(), flag.Args())
 		gens := []core.Generation{core.V1, core.V2, core.V3} // the printers skip absent rows
 		printTables(gens, merged)
 		printDependability(gens, merged)

@@ -29,13 +29,12 @@ import (
 	"runtime"
 
 	"repro/internal/campaign"
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hil"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/worldgen"
 )
 
 func main() {
@@ -84,27 +83,21 @@ func main() {
 			Timing:      timing,
 		}
 
-		// One hil.Monitor per run (attached through the campaign's
-		// configure hook), so the example can print a fault-event timeline
-		// next to the outcome table.
-		mons := make([]*hil.Monitor, spec.Total())
-		spec.Configure = func(ru campaign.Run, _ *worldgen.Scenario, _ *core.System, cfg *scenario.RunConfig) {
-			mon := hil.NewMonitor(hil.DesktopSIL(), hil.NanoCosts())
-			mons[ru.Index] = mon
-			cfg.Observer, cfg.Recorder = mon, mon
-		}
 		report, err := campaign.Execute(context.Background(), spec,
 			campaign.Options{Workers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, mon := range mons {
-			if mon != nil && len(mon.FaultEvents()) > 0 {
-				fmt.Printf("%-17s timeline of one mission:\n", ex.name)
-				for _, ev := range mon.FaultEvents() {
-					fmt.Println(obs.FormatEvent(ev))
-				}
-				break
+		// The fault-event timeline of one mission, read back by flying the
+		// first faulted run again with a flight recorder.
+		timeline, err := cliutil.FaultTimeline(spec, report.Results)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if len(timeline) > 0 {
+			fmt.Printf("%-17s timeline of one mission:\n", ex.name)
+			for _, ev := range timeline {
+				fmt.Println(obs.FormatEvent(ev))
 			}
 		}
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/worldgen"
 )
@@ -278,15 +279,9 @@ func Execute(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 					continue
 				}
 				ru := runs[i]
-				var configure scenario.ConfigureFunc
-				if spec.Configure != nil {
-					configure = func(sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
-						spec.Configure(ru, sc, sys, cfg)
-					}
-				}
 				t0 := time.Now()
 				mRunsStarted.Inc()
-				r, err := scenario.RunGridCell(ru.Gen, ru.MapIdx, ru.ScenarioIdx, ru.Seed, spec.Timing, configure)
+				r, err := spec.fly(ru, nil)
 				busyNs.Add(int64(time.Since(t0)))
 				if err == nil {
 					mRunsFinished.Inc()
@@ -357,4 +352,47 @@ func Execute(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 	report.Wall = time.Since(start)
 	report.Busy = time.Duration(busyNs.Load())
 	return report, nil
+}
+
+// fly flies one resolved run of the spec: the path every executed run
+// takes. A non-nil rec becomes the run's flight recorder after the
+// spec's Configure hook has run.
+func (s Spec) fly(ru Run, rec obs.Recorder) (scenario.Result, error) {
+	var configure scenario.ConfigureFunc
+	if s.Configure != nil || rec != nil {
+		configure = func(sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
+			if s.Configure != nil {
+				s.Configure(ru, sc, sys, cfg)
+			}
+			if rec != nil {
+				cfg.Recorder = rec
+			}
+		}
+	}
+	return scenario.RunGridCell(ru.Gen, ru.MapIdx, ru.ScenarioIdx, ru.Seed, s.Timing, configure)
+}
+
+// Refly flies run index of the spec once more, with rec as its flight
+// recorder: runs are pure functions of (seed, Spec), so what rec holds
+// afterwards is that run's trace. digest is the campaign's record of the
+// run (Result.Digest); a re-flown Result that digests differently is not
+// the campaign's run and is refused.
+func Refly(spec Spec, index int, digest string, rec obs.Recorder) (scenario.Result, error) {
+	runs, err := spec.Runs()
+	if err != nil {
+		return scenario.Result{}, err
+	}
+	if index < 0 || index >= len(runs) {
+		return scenario.Result{}, fmt.Errorf("campaign: re-fly run %d: the campaign has runs [0,%d)", index, len(runs))
+	}
+	r, err := spec.fly(runs[index], rec)
+	if err != nil {
+		return scenario.Result{}, err
+	}
+	if d := r.Digest(); d != digest {
+		return scenario.Result{}, fmt.Errorf(
+			"campaign: re-flown run %d digests %.12s…, the campaign recorded %.12s… — not the campaign's run (a journal written by an older build?)",
+			index, d, digest)
+	}
+	return r, nil
 }

@@ -59,6 +59,10 @@ type ShardResult struct {
 	End   int    `json:"end"`
 	Total int    `json:"total"`
 	Sig   string `json:"spec"`
+	// Profile is the campaign's catalog profile (catalog.Campaign.Profile:
+	// "" for sil, omitted), so a tool's -merge can refuse another tool's
+	// campaign instead of printing it as its own.
+	Profile string `json:"profile,omitempty"`
 	// Aggregates holds the per-generation rows with their exact
 	// accumulators (scenario's Aggregate codec), so a decoded row digests
 	// and prints bit-identically to the live one.

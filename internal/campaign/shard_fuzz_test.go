@@ -11,8 +11,9 @@ import (
 // and a file it accepts must cover its whole campaign — index 0 of 1 over
 // runs [0, total) — with non-null rows that digest. The seed corpus under
 // testdata/fuzz holds a real `-serve -out` file, the same file with a
-// null row and with a partial range, and a part file of the former static
-// `-shard 1/2` flow.
+// null row and with a partial range, a part file of the former static
+// `-shard 1/2` flow, and a served field campaign's file, which names its
+// profile and carries platform rows.
 func FuzzReadShardResult(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))

@@ -147,18 +147,21 @@ func (c *Campaign) Plan() hil.Plan { return hil.DerivePlan(c.Platform, c.Costs) 
 // Configure returns the campaign's per-run hook, or nil for sil. The hook
 // changes results, so a lease names it (Profile) rather than leaving it
 // out: the hardware tiers stretch the replan and guard cadences to the
-// platform's budget, and field adds the real-world degradations of §V-C.
-// The cadences do not depend on -pipeline: hil.DerivePipelinedPlan
+// platform's budget and charge each run's load to the platform (the
+// run's Result.Resources), and field adds the real-world degradations of
+// §V-C. The cadences do not depend on -pipeline: hil.DerivePipelinedPlan
 // changes only the plan's Timing.
 func (c *Campaign) Configure() ConfigureFunc {
 	if !c.hardware() {
 		return nil
 	}
 	plan := c.Plan()
+	platform := hil.Platform(c.Platform, c.Costs)
 	degrade := c.degrade
 	return func(_ campaign.Run, sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
 		sys.SetReplanInterval(plan.ReplanInterval)
 		sys.SetGuardInterval(plan.GuardInterval)
+		cfg.Platform = platform
 		if degrade != nil {
 			degrade(sc, cfg)
 		}
@@ -168,8 +171,7 @@ func (c *Campaign) Configure() ConfigureFunc {
 // Spec builds the campaign on grid g under knobs k. The knobs apply in one
 // order: pipeline, fast, faults, fleet, then Timing.Canonical, which folds
 // an empty fault plan and a one-drone fleet onto the nominal signature.
-// The Spec carries the campaign's Configure hook; a tool may chain
-// observation-only hooks behind it (see Monitor).
+// The Spec carries the campaign's Configure hook.
 func (c *Campaign) Spec(g Grid, k Knobs) (campaign.Spec, error) {
 	spec, err := c.grid(g)
 	if err != nil {
@@ -198,25 +200,6 @@ func (c *Campaign) Spec(g Grid, k Knobs) (campaign.Spec, error) {
 	spec.Timing = spec.Timing.Canonical()
 	spec.Configure = c.Configure()
 	return spec, nil
-}
-
-// Monitor chains an observation-only hil.Monitor of the campaign's
-// platform behind spec's hook, one per run, stored at the run's index in
-// spec. Runs replayed from a checkpoint journal never call the hook, so
-// their slots stay nil. Workers write distinct indices, so the slice
-// needs no lock.
-func (c *Campaign) Monitor(spec *campaign.Spec) []*hil.Monitor {
-	mons := make([]*hil.Monitor, spec.Total())
-	hook := spec.Configure
-	spec.Configure = func(ru campaign.Run, sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
-		if hook != nil {
-			hook(ru, sc, sys, cfg)
-		}
-		mon := hil.NewMonitor(c.Platform, c.Costs)
-		mons[ru.Index] = mon
-		cfg.Observer, cfg.Recorder = mon, mon
-	}
-	return mons
 }
 
 // productGrid is the first Maps maps x Scenarios scenarios x Repeats

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/hil"
 	"repro/internal/scenario"
 	"repro/internal/vision"
 	"repro/internal/worldgen"
@@ -182,8 +183,9 @@ func TestParseSystems(t *testing.T) {
 
 // TestProfileHooksConfigure executes each campaign's hook, resolved the
 // way a worker resolves a lease's profile, against a real system: the
-// hardware tiers must apply their platform's cadences, field its weather
-// floors and spurious-depth rate, and sil must need no hook at all.
+// hardware tiers must apply their platform's cadences and cost model,
+// field its weather floors and spurious-depth rate, and sil must need no
+// hook at all.
 func TestProfileHooksConfigure(t *testing.T) {
 	dict := vision.DefaultDictionary()
 	for _, c := range all {
@@ -213,34 +215,16 @@ func TestProfileHooksConfigure(t *testing.T) {
 		if floored != (c == Field) {
 			t.Errorf("%s: weather %+v, erroneous depth rate %v", c.Name, sc.Weather, cfg.ErroneousDepthRate)
 		}
+		// Every run of a hardware tier charges its load to the tier's
+		// platform, so its Result carries the resource summary.
+		if want := hil.Platform(c.Platform, c.Costs); cfg.Platform == nil || *cfg.Platform != *want {
+			t.Errorf("%s: platform %+v, want %+v", c.Name, cfg.Platform, want)
+		}
 	}
 	if _, err := Hook("turbo"); err == nil || !strings.Contains(err.Error(), "turbo") {
 		t.Fatalf("unknown profile: err = %v", err)
 	}
 	if _, err := Hook("sil"); err == nil {
 		t.Fatal(`profile "sil" resolved; sil leases carry ""`)
-	}
-}
-
-// TestMonitorChainsBehindHook: the monitor observes every run and leaves
-// the campaign's result-changing hook in place.
-func TestMonitorChainsBehindHook(t *testing.T) {
-	spec, err := Field.Spec(Grid{Runs: 2}, Knobs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mons := Field.Monitor(&spec)
-	sc := &worldgen.Scenario{}
-	cfg := &scenario.RunConfig{}
-	sys, err := core.NewV3(7, geom.Vec3{}, vision.DefaultDictionary(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Configure(campaign.Run{Index: 1}, sc, sys, cfg)
-	if mons[0] != nil || mons[1] == nil || cfg.Observer != mons[1] || cfg.Recorder != mons[1] {
-		t.Fatalf("monitors %v, observer %v", mons, cfg.Observer)
-	}
-	if cfg.ErroneousDepthRate != 0.04 {
-		t.Fatal("monitor replaced the field hook")
 	}
 }

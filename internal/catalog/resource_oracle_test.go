@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -21,7 +22,9 @@ import (
 // for field flight 0 the whole (T, CPU %, MemMB) series. The values were
 // recorded from the per-process resource monitors the hardware tools
 // used before each run carried its own summary, so the figures a run
-// reports are the ones those monitors built.
+// reports are the ones those monitors built. Here the summaries come
+// from each run's Result.Resources, and the samples from the "resource"
+// events of the run re-flown with a flight recorder.
 //
 // Regenerate only after an intentional change to the platform model:
 //
@@ -84,22 +87,37 @@ type oracleRun struct {
 	series                    [][3]float64
 }
 
-// flyOracle flies spec on two workers and returns each run's figures,
-// with the series of run 0 when series is set.
-func flyOracle(t *testing.T, c *Campaign, spec campaign.Spec, series bool) []oracleRun {
+// flyOracle flies spec on two workers and returns each run's figures.
+// Runs whose sample count or series is asked for are re-flown with a
+// flight recorder: the count is every "resource" event of the run, any
+// fleet member's, and the series is run 0's.
+func flyOracle(t *testing.T, spec campaign.Spec, samples, series bool) []oracleRun {
 	t.Helper()
-	mons := c.Monitor(&spec)
-	if _, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2}); err != nil {
+	report, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]oracleRun, len(mons))
-	for i, mon := range mons {
-		_, peak := mon.Peak()
-		out[i] = oracleRun{meanCPU: mon.MeanCPU(), meanMem: mon.MeanMemMB(), peakMem: peak,
-			samples: len(mon.Samples())}
-		if series && i == 0 {
-			for _, s := range mon.Samples() {
-				out[i].series = append(out[i].series, [3]float64{s.T, s.CPUPercent, s.MemMB})
+	out := make([]oracleRun, len(report.Results))
+	for i, r := range report.Results {
+		res := r.Resources
+		if res == nil {
+			t.Fatalf("run %d carries no resource summary", i)
+		}
+		out[i] = oracleRun{meanCPU: res.MeanCPU, meanMem: res.MeanMemMB, peakMem: res.PeakMemMB}
+		if !samples && !(series && i == 0) {
+			continue
+		}
+		tr := obs.NewTrace(1 << 16)
+		if _, err := campaign.Refly(spec, i, r.Digest(), tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range tr.Events() {
+			if ev.Kind != "resource" {
+				continue
+			}
+			out[i].samples++
+			if series && i == 0 {
+				out[i].series = append(out[i].series, [3]float64{ev.T, ev.Value, ev.MemMB})
 			}
 		}
 	}
@@ -116,7 +134,7 @@ func TestResourceOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs := flyOracle(t, oc.c, spec, oc.c == Field)
+		runs := flyOracle(t, spec, oc.samples, oc.c == Field)
 		for i, r := range runs {
 			fmt.Fprintf(&got, "run %s %d %016x %016x %016x\n", oc.name, i,
 				bits(r.meanCPU), bits(r.meanMem), bits(r.peakMem))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func TestDistributedLoopback(t *testing.T) {
 	if got, want := campaign.AggregatesDigest(aggs), campaign.AggregatesDigest(direct.Aggregates); got != want {
 		t.Fatalf("fleet digest %s != direct digest %s", got, want)
 	}
-	if got, want := campaign.AggregatesDigest(Merge("test", "runs", []string{out})), direct.Digest(); got != want {
+	if got, want := campaign.AggregatesDigest(Merge("test", "runs", "", []string{out})), direct.Digest(); got != want {
 		t.Fatalf("-merge of the result file: digest %s != direct %s", got, want)
 	}
 }
@@ -114,5 +115,51 @@ func TestDistributedUnsetIsLocal(t *testing.T) {
 	f := &CampaignFlags{}
 	if aggs, handled := f.Distributed("test", campaign.Spec{}, ""); handled || aggs != nil {
 		t.Fatalf("no -serve/-join must run locally: %v %v", aggs, handled)
+	}
+}
+
+// writeResultFile writes a one-run campaign result file of profile.
+func writeResultFile(t *testing.T, profile string) string {
+	t.Helper()
+	agg := scenario.NewAggregate("MLS-V3")
+	agg.Add(scenario.Result{Resources: &scenario.Resources{MeanCPU: 250}})
+	path := filepath.Join(t.TempDir(), "result.json")
+	sr := &campaign.ShardResult{Count: 1, End: 1, Total: 1, Profile: profile,
+		Aggregates: map[core.Generation]*scenario.Aggregate{core.V3: agg}}
+	if err := campaign.WriteShardResult(path, sr); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestMergeRefusesAnotherToolsCampaign: -merge reads only its own tool's
+// campaigns. A field result file is refused by hilbench (hil-maxn) and by
+// silbench (sil), naming the campaign it holds, and read by fieldtest.
+func TestMergeRefusesAnotherToolsCampaign(t *testing.T) {
+	field := writeResultFile(t, "field")
+	for _, profile := range []string{"hil-maxn", ""} {
+		if _, err := readResult(field, profile); err == nil || !strings.Contains(err.Error(), `holds campaign profile "field"`) {
+			t.Errorf("profile %q read a field file: err = %v", profile, err)
+		}
+	}
+	if res, err := readResult(field, "field"); err != nil || res.Profile != "field" {
+		t.Fatalf("fieldtest refused its own file: %v", err)
+	}
+}
+
+// TestMergeRefusesUnprofiledHardwareFile: a file that names no profile is
+// a sil campaign, or a hardware one written before result files recorded
+// their profile, whose rows carry no resource summaries. hilbench and
+// fieldtest refuse it and say to serve the campaign again; silbench
+// reads it as before.
+func TestMergeRefusesUnprofiledHardwareFile(t *testing.T) {
+	old := writeResultFile(t, "")
+	for _, profile := range []string{"hil-maxn", "field"} {
+		if _, err := readResult(old, profile); err == nil || !strings.Contains(err.Error(), "serve it again") {
+			t.Errorf("profile %q read an unprofiled file: err = %v", profile, err)
+		}
+	}
+	if _, err := readResult(old, ""); err != nil {
+		t.Fatalf("silbench refused a sil file: %v", err)
 	}
 }

@@ -224,18 +224,34 @@ func (f *CampaignFlags) Execute(tool string, spec campaign.Spec, opts campaign.O
 // Merge is the -merge prologue every bench tool shares: it reads the one
 // campaign result file that -serve -out wrote and prints the banner and
 // the aggregate digest. unit names what a run is to the tool ("runs",
-// "flights"). Errors are fatal.
-func Merge(tool, unit string, files []string) map[core.Generation]*scenario.Aggregate {
+// "flights"); profile is the catalog profile of the campaign the tool
+// prints (catalog.Campaign.Profile), and a file holding any other
+// campaign is refused. Errors are fatal.
+func Merge(tool, unit, profile string, files []string) map[core.Generation]*scenario.Aggregate {
 	if len(files) != 1 {
 		Fatal(tool, 2, fmt.Errorf("-merge reads one campaign result file (written by -serve -out), got %d", len(files)))
 	}
-	res, err := campaign.ReadShardResult(files[0])
+	res, err := readResult(files[0], profile)
 	if err != nil {
 		Fatal(tool, 1, err)
 	}
 	fmt.Printf("campaign result %s (%d %s)\n", files[0], res.Total, unit)
 	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(res.Aggregates))
 	return res.Aggregates
+}
+
+// readResult reads a campaign result file and checks that it holds a
+// campaign of profile.
+func readResult(path, profile string) (*campaign.ShardResult, error) {
+	res, err := campaign.ReadShardResult(path)
+	if err == nil && res.Profile != profile {
+		// A hil or field file written before result files recorded their
+		// profile reads as sil's "" and is refused too: its rows carry no
+		// resource summaries.
+		return nil, fmt.Errorf("campaign result %s holds campaign profile %q, not %q (a hil or field file written before result files recorded their profile holds \"\": serve it again with -serve -out)",
+			path, res.Profile, profile)
+	}
+	return res, err
 }
 
 // Fatal prints a tool-prefixed error and exits with the given code.

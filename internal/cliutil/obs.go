@@ -27,8 +27,8 @@ const DefaultTraceCap = 1 << 16
 
 // WireTrace arms -trace on a locally executed campaign: every run flies
 // with its own flight recorder (installed through the spec's Configure
-// hook, fanned out beside any recorder the tool's own hook installed),
-// and each finished run appends one header + events block to the trace
+// hook, after the campaign's own hook has run), and each finished run
+// appends one header + events block to the trace
 // file through the ordered OnResult stream — so the file is in canonical
 // run order and byte-identical at any worker count. Runs replayed from a
 // checkpoint journal never re-fly and so contribute no trace block.
@@ -56,11 +56,7 @@ func (f *CampaignFlags) WireTrace(spec *campaign.Spec, opts *campaign.Options) (
 		}
 		tr := obs.NewTrace(DefaultTraceCap)
 		traces.Store(ru.Index, tr)
-		if cfg.Recorder != nil {
-			cfg.Recorder = tee{cfg.Recorder, tr}
-		} else {
-			cfg.Recorder = tr
-		}
+		cfg.Recorder = tr
 	}
 
 	var werr error
@@ -96,12 +92,46 @@ func (f *CampaignFlags) WireTrace(spec *campaign.Spec, opts *campaign.Options) (
 	}, nil
 }
 
-// tee fans one run's events out to two recorders, in order.
-type tee [2]obs.Recorder
+// ReflownEvents re-flies run i of spec (campaign.Refly, checked against
+// r, the campaign's result for it) and returns the events of kind its
+// primary drone recorded: a figure that lives in one run's trace, read
+// the same way after a fresh run and after a resume.
+func ReflownEvents(spec campaign.Spec, i int, r scenario.Result, kind string) ([]obs.Event, error) {
+	tr := obs.NewTrace(DefaultTraceCap)
+	if _, err := campaign.Refly(spec, i, r.Digest(), tr); err != nil {
+		return nil, err
+	}
+	var out []obs.Event
+	for _, ev := range tr.Events() {
+		if ev.Kind == kind && ev.Member == 0 {
+			out = append(out, ev)
+		}
+	}
+	return out, nil
+}
 
-func (t tee) Record(ev obs.Event) {
-	t[0].Record(ev)
-	t[1].Record(ev)
+// PrintFleetAndDependability prints the hardware tools' airspace and
+// fault-campaign rows; each is silent when its knob is off.
+func PrintFleetAndDependability(agg scenario.Aggregate) {
+	if row := agg.FleetString(); row != "" {
+		fmt.Println("\nAirspace deconfliction (fleet campaign)")
+		fmt.Println(row)
+	}
+	if row := agg.DependabilityString(); row != "" {
+		fmt.Println("\nDependability (fault campaign)")
+		fmt.Println(row)
+	}
+}
+
+// FaultTimeline returns the fault edges of the first run whose Result
+// shows a fault injection, re-flown; nil when no run saw one.
+func FaultTimeline(spec campaign.Spec, results []scenario.Result) ([]obs.Event, error) {
+	for i, r := range results {
+		if r.FaultInjections > 0 {
+			return ReflownEvents(spec, i, r, "fault")
+		}
+	}
+	return nil, nil
 }
 
 // StartDebug arms -debug: the standard debug surface (GET /metrics plus

@@ -2,18 +2,19 @@ package cliutil
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/hil"
+	"repro/internal/catalog"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/worldgen"
 )
 
 // traceSpec is a small campaign with a fault plan, so traces carry the
@@ -89,60 +90,140 @@ func TestTraceResumeSkipsReplayedRuns(t *testing.T) {
 	}
 }
 
-// TestTraceFansOutToMonitor: a tool hook that installs its own recorder
-// (hil.Monitor, as hilbench and fieldtest do) and -trace both receive
-// every event of every run — the monitor's fault timeline and stage
-// counters match the run's block in the trace file exactly.
-func TestTraceFansOutToMonitor(t *testing.T) {
-	spec := traceSpec(t)
-	mons := make([]*hil.Monitor, spec.Total())
-	spec.Configure = func(ru campaign.Run, _ *worldgen.Scenario, _ *core.System, cfg *scenario.RunConfig) {
-		mon := hil.NewMonitor(hil.DesktopSIL(), hil.NanoCosts())
-		mons[ru.Index] = mon
-		cfg.Observer, cfg.Recorder = mon, mon
-	}
-	data := runTraced(t, spec, 2, "")
-
-	// Split the file into per-run fault and apply events.
-	faults := map[int][]obs.Event{}
-	applies := map[int]int{}
+// traceBlocks splits a -trace file into each run's raw event lines,
+// keyed by run index.
+func traceBlocks(t *testing.T, data []byte) map[int][]string {
+	t.Helper()
+	blocks := map[int][]string{}
 	run := -1
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
-		var line struct {
-			obs.Event
-			Run int `json:"run"`
-		}
-		if err := dec.Decode(&line); err != nil {
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var hdr obs.RunHeader
+		if err := json.Unmarshal([]byte(line), &hdr); err != nil {
 			t.Fatal(err)
 		}
-		switch line.Kind {
-		case "run":
-			run = line.Run
-		case "fault":
-			faults[run] = append(faults[run], line.Event)
-		case "apply":
-			applies[run]++
+		if hdr.Kind == "run" {
+			run = hdr.Run
+			blocks[run] = []string{}
+			continue
 		}
+		blocks[run] = append(blocks[run], line)
+	}
+	return blocks
+}
+
+// TestReflownRunIsTheRun: campaign.Refly flies a campaign's run again,
+// and what it flies is that run. For sil V3 inline, hil-maxn -pipeline,
+// field -faults blackout and sil -fleet 3, at one and two workers, the
+// re-flown Result digests as the campaign's Result for that index, and
+// its flight recorder holds exactly the events -trace wrote in that
+// run's block. A digest the run does not have is refused.
+func TestReflownRunIsTheRun(t *testing.T) {
+	blackout, err := fault.ParsePlan("blackout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		c     *catalog.Campaign
+		grid  catalog.Grid
+		knobs catalog.Knobs
+	}{
+		{"sil-v3", catalog.SIL, catalog.Grid{Maps: 1, Scenarios: 2, Repeats: 1, Systems: "3"}, catalog.Knobs{}},
+		{"hil-maxn-pipeline", catalog.HILMAXN, catalog.Grid{Maps: 1, Scenarios: 2, Repeats: 1}, catalog.Knobs{Pipeline: true}},
+		{"field-blackout", catalog.Field, catalog.Grid{Runs: 3}, catalog.Knobs{Faults: blackout}},
+		{"sil-fleet3", catalog.SIL, catalog.Grid{Maps: 1, Scenarios: 2, Repeats: 1, Systems: "1"},
+			catalog.Knobs{Fleet: &scenario.FleetSpec{Size: 3}}},
+	}
+	for _, tc := range cases {
+		spec, err := tc.c.Spec(tc.grid, tc.knobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			f := &CampaignFlags{Trace: path, Workers: workers}
+			report := f.Execute("test", spec, campaign.Options{Workers: workers})
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := traceBlocks(t, data)
+			for i, want := range report.Results {
+				tr := obs.NewTrace(DefaultTraceCap)
+				got, err := campaign.Refly(spec, i, want.Digest(), tr)
+				if err != nil {
+					t.Fatalf("%s at %d workers: %v", tc.name, workers, err)
+				}
+				if got.Digest() != want.Digest() {
+					t.Fatalf("%s at %d workers: run %d re-flew as %s, the campaign has %s",
+						tc.name, workers, i, got.Digest(), want.Digest())
+				}
+				var lines []string
+				for _, ev := range tr.Events() {
+					line, err := json.Marshal(ev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lines = append(lines, string(line))
+				}
+				if !reflect.DeepEqual(lines, blocks[i]) || len(lines) == 0 {
+					t.Fatalf("%s at %d workers: run %d re-flew %d events, -trace wrote %d",
+						tc.name, workers, i, len(lines), len(blocks[i]))
+				}
+			}
+		}
+		if _, err := campaign.Refly(spec, 0, "not-the-digest", nil); err == nil {
+			t.Fatalf("%s: Refly accepted a digest the run does not have", tc.name)
+		}
+	}
+}
+
+// TestFaultTimeline: the timeline is the fault edges of the first run
+// whose Result shows an injection, read from that run re-flown — the
+// primary drone's only — and nil for a campaign no fault reached.
+func TestFaultTimeline(t *testing.T) {
+	spec := traceSpec(t)
+	data := runTraced(t, spec, 2, "")
+	report, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for i, r := range report.Results {
+		if r.FaultInjections > 0 {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("no run saw a fault; the test pins nothing")
+	}
+	var want []string
+	for _, line := range traceBlocks(t, data)[first] {
+		if strings.Contains(line, `"kind":"fault"`) {
+			want = append(want, line)
+		}
+	}
+	timeline, err := FaultTimeline(spec, report.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range timeline {
+		line, _ := json.Marshal(ev)
+		got = append(got, string(line))
+	}
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("timeline %v, want run %d's fault edges %v", got, first, want)
 	}
 
-	faulted := 0
-	for i, mon := range mons {
-		if mon == nil {
-			t.Fatalf("run %d flew without its monitor", i)
-		}
-		if !reflect.DeepEqual(mon.FaultEvents(), faults[i]) {
-			t.Fatalf("run %d: monitor timeline %+v, trace %+v", i, mon.FaultEvents(), faults[i])
-		}
-		if batches, _, _, _, _ := mon.StageStats(); batches != applies[i] || batches == 0 {
-			t.Fatalf("run %d: monitor saw %d perception batches, trace %d", i, batches, applies[i])
-		}
-		if len(faults[i]) > 0 {
-			faulted++
-		}
+	nominal := testSpec()
+	report, err = campaign.Execute(context.Background(), nominal, campaign.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if faulted == 0 {
-		t.Fatal("no run recorded a fault edge; the test pins nothing")
+	if timeline, err := FaultTimeline(nominal, report.Results); err != nil || timeline != nil {
+		t.Fatalf("nominal campaign: timeline %v, err %v", timeline, err)
 	}
 }
 

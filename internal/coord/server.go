@@ -117,6 +117,7 @@ func (c *Coordinator) ShardResult() *campaign.ShardResult {
 		End:        c.merger.Total(),
 		Total:      c.merger.Total(),
 		Sig:        c.merger.Sig(),
+		Profile:    c.cfg.Profile,
 		Aggregates: c.merger.Aggregates(),
 	}
 }

@@ -6,8 +6,9 @@
 // create in time when the drone was heading towards a newly discovered
 // obstacle".
 //
-// The package also provides the resource monitor that regenerates the
-// Fig. 7 CPU/memory series.
+// The package also builds the platform-cost value (Platform) a hardware
+// run charges its module work to, from which the run's own Result carries
+// the Table III / Fig. 7 CPU and memory figures.
 package hil
 
 import (
@@ -228,17 +229,23 @@ func DerivePipelinedPlan(p Profile, costs ModuleCosts) Plan {
 	return plan
 }
 
-// MemoryModelMB estimates resident memory for a mission given the live
-// occupancy-map footprint.
-func MemoryModelMB(p Profile, costs ModuleCosts, mapBytes int) float64 {
-	mb := float64(p.MemBaseMB + p.MemModelMB)
-	mb += float64(mapBytes) / 1e6
-	// Frame and point-cloud buffers; the real camera pipeline holds
-	// several frames in flight.
+// Platform is the cost value a mission on profile p charges its module
+// work to. The real camera pipeline holds several frames in flight, so
+// the field profile buffers more memory.
+func Platform(p Profile, costs ModuleCosts) *scenario.Platform {
+	buffers := 150.0
 	if costs.CameraFeedMS > 0 {
-		mb += 380
-	} else {
-		mb += 150
+		buffers = 380
 	}
-	return mb
+	return &scenario.Platform{
+		Cores:       p.Cores,
+		CoreSpeed:   p.CoreGHz / refGHz,
+		DetectMS:    costs.DetectMS,
+		DepthMS:     costs.DepthInsertMS,
+		PlanMS:      costs.PlanMS,
+		ControlMS:   costs.ControlMS,
+		FeedMS:      costs.CameraFeedMS + costs.StackOverheadMS,
+		MemBaseMB:   float64(p.MemBaseMB + p.MemModelMB),
+		MemBufferMB: buffers,
+	}
 }

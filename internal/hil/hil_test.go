@@ -3,7 +3,11 @@ package hil
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/worldgen"
 )
 
 func TestDesktopRunsNative(t *testing.T) {
@@ -55,96 +59,100 @@ func TestFieldCostsExceedHIL(t *testing.T) {
 
 func TestMemoryModel(t *testing.T) {
 	p := JetsonNanoMAXN()
-	base := MemoryModelMB(p, NanoCosts(), 0)
-	if base < 1000 || base > 2900 {
+	hil, field := Platform(p, NanoCosts()), Platform(p, FieldCosts())
+	base := hil.MemBaseMB + hil.MemBufferMB
+	if base < 1500 || base > 2900 {
 		t.Errorf("base memory %v MB implausible", base)
 	}
-	withMap := MemoryModelMB(p, NanoCosts(), 50_000_000)
-	if withMap-base < 49 || withMap-base > 51 {
-		t.Errorf("map memory not accounted: %v", withMap-base)
-	}
-	field := MemoryModelMB(p, FieldCosts(), 0)
-	if field <= base {
+	if field.MemBaseMB+field.MemBufferMB <= base {
 		t.Error("field profile should use more memory (camera buffers)")
+	}
+	// The live map adds its footprint on top: a mission's memory samples
+	// sit at or above the base, and grow with the map.
+	_, samples := flyPlatform(t, hil, DerivePlan(p, NanoCosts()).Timing, 2, 4)
+	for _, s := range samples {
+		if s.MemMB < base || s.MemMB > base+50 {
+			t.Fatalf("memory sample %v MB outside [%v, %v]", s.MemMB, base, base+50)
+		}
+	}
+	if last := samples[len(samples)-1]; last.MemMB <= base {
+		t.Errorf("map memory not accounted: last sample %v MB, base %v MB", last.MemMB, base)
 	}
 }
 
-func TestMonitorSeries(t *testing.T) {
-	m := NewMonitor(JetsonNanoMAXN(), NanoCosts())
-	// Simulate 5 seconds at 20 Hz with detection at 4 Hz, depth 5 Hz.
-	for i := 0; i < 100; i++ {
-		m.RecordControl()
-		if i%5 == 0 {
-			m.RecordDetect()
-		}
-		if i%4 == 0 {
-			m.RecordDepth()
-		}
-		if i%20 == 0 {
-			m.RecordPlan()
-		}
-		m.Advance(0.05, float64(i)*0.05, 10_000_000)
+// flyPlatform flies MLS-V3 on map mi, scenario si under timing with the
+// platform model and a flight recorder, and returns the run and its
+// resource samples.
+func flyPlatform(t *testing.T, p *scenario.Platform, timing scenario.Timing, mi, si int) (scenario.Result, []obs.Event) {
+	t.Helper()
+	tr := obs.NewTrace(1 << 16)
+	res, err := scenario.RunGridCell(core.V3, mi, si, scenario.GridSeed(core.V3, mi, si, 0), timing,
+		func(_ *worldgen.Scenario, _ *core.System, cfg *scenario.RunConfig) {
+			cfg.Platform, cfg.Recorder = p, tr
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	samples := m.Samples()
-	if len(samples) < 4 || len(samples) > 6 {
-		t.Fatalf("samples = %d, want ~5", len(samples))
+	var samples []obs.Event
+	for _, ev := range tr.Events() {
+		if ev.Kind == "resource" {
+			samples = append(samples, ev)
+		}
+	}
+	return res, samples
+}
+
+// TestMonitorSeries: a HIL mission charged to the Nano MAXN samples its
+// load once per second of mission, each sample inside the board's range.
+func TestMonitorSeries(t *testing.T) {
+	p := JetsonNanoMAXN()
+	res, samples := flyPlatform(t, Platform(p, NanoCosts()), DerivePlan(p, NanoCosts()).Timing, 2, 4)
+	if n, secs := len(samples), int(res.Duration); n < secs-1 || n > secs {
+		t.Fatalf("%d samples over a %.1fs mission, want one a second", n, res.Duration)
 	}
 	for _, s := range samples {
-		if s.CPUPercent <= 0 || s.CPUPercent > 400 {
-			t.Errorf("cpu %v out of range", s.CPUPercent)
-		}
-		if len(s.PerCore) != 4 {
-			t.Errorf("per-core count %d", len(s.PerCore))
-		}
-		for _, c := range s.PerCore {
-			if c < 0 || c > 100 {
-				t.Errorf("core util %v", c)
-			}
+		if s.Value <= 0 || s.Value > 400 {
+			t.Errorf("cpu %v out of range", s.Value)
 		}
 		if s.MemMB < 1000 || s.MemMB > 2900 {
 			t.Errorf("memory %v MB", s.MemMB)
 		}
 	}
-	cpu, mem := m.Peak()
-	if cpu <= 0 || mem <= 0 {
-		t.Error("peak accounting")
-	}
-	if m.MeanCPU() <= 0 || m.MeanMemMB() <= 0 {
-		t.Error("mean accounting")
+	if r := res.Resources; r == nil || r.MeanCPU <= 0 || r.MeanMemMB <= 0 || r.PeakMemMB <= 0 {
+		t.Errorf("summary %+v", res.Resources)
 	}
 }
 
+// TestMonitorSaturatesAllCoresUnderLoad: the full stack at SIL-native
+// rates overloads the Nano — the paper's "all four CPU cores heavily
+// utilised" — and the waterfill caps each core at 100%.
 func TestMonitorSaturatesAllCoresUnderLoad(t *testing.T) {
-	m := NewMonitor(JetsonNanoMAXN(), NanoCosts())
-	// One second of full stack activity at SIL-native rates.
-	for i := 0; i < 4; i++ {
-		m.RecordDetect()
-	}
-	for i := 0; i < 5; i++ {
-		m.RecordDepth()
-	}
-	for i := 0; i < 2; i++ {
-		m.RecordPlan()
-	}
-	for i := 0; i < 20; i++ {
-		m.RecordControl()
-	}
-	m.Advance(1.01, 1, 0)
-	s := m.Samples()
-	if len(s) != 1 {
-		t.Fatal("no sample")
-	}
-	// The paper: "all four CPU cores heavily utilised".
-	for i, c := range s[0].PerCore {
-		if c < 80 {
-			t.Errorf("core %d at %v%%, want heavy utilization", i, c)
+	_, samples := flyPlatform(t, Platform(JetsonNanoMAXN(), NanoCosts()), scenario.SILTiming(), 2, 4)
+	heavy := 0
+	for _, s := range samples {
+		if s.Value > 400 {
+			t.Fatalf("cpu %v%% above four saturated cores", s.Value)
+		}
+		if s.Value >= 4*80 {
+			heavy++
 		}
 	}
+	if heavy < len(samples)/2 {
+		t.Errorf("%d of %d seconds with every core at 80%% or more, want most", heavy, len(samples))
+	}
 }
 
+// TestMeanEmptyMonitor: a mission whose link is down from the first tick
+// never steps the stack, closes no sample, and summarizes as zeros —
+// still a summary, so the run counts in the pooled figures.
 func TestMeanEmptyMonitor(t *testing.T) {
-	m := NewMonitor(JetsonNanoMAXN(), NanoCosts())
-	if m.MeanCPU() != 0 || m.MeanMemMB() != 0 {
-		t.Error("empty monitor means should be zero")
+	timing := scenario.SILTiming()
+	timing.Faults = &fault.Plan{Faults: []fault.Fault{{Kind: fault.CommsBlackout, Start: 0, Duration: 400}}}
+	res, samples := flyPlatform(t, Platform(JetsonNanoMAXN(), NanoCosts()), timing, 2, 4)
+	if len(samples) != 0 {
+		t.Fatalf("%d samples from a mission that never stepped its stack", len(samples))
+	}
+	if r := res.Resources; r == nil || *r != (scenario.Resources{}) {
+		t.Errorf("summary %+v, want zeros", res.Resources)
 	}
 }

@@ -231,5 +231,8 @@ func FormatEvent(ev Event) string {
 	if ev.Value != 0 {
 		fmt.Fprintf(&b, " (%g)", ev.Value)
 	}
+	if ev.MemMB != 0 {
+		fmt.Fprintf(&b, " %g MB", ev.MemMB)
+	}
 	return strings.TrimRight(b.String(), " ")
 }

@@ -34,8 +34,11 @@ type Event struct {
 	// degraded), empty for point events.
 	Phase string `json:"phase,omitempty"`
 	// Value carries a kind-specific number (apply: delivery lag in
-	// ticks; separation: the other member's index).
+	// ticks; separation: the other member's index; resource: aggregate
+	// CPU percent).
 	Value float64 `json:"value,omitempty"`
+	// MemMB is a resource sample's resident memory in megabytes.
+	MemMB float64 `json:"mem_mb,omitempty"`
 }
 
 // Phase values of windowed event kinds.
@@ -132,6 +135,8 @@ func EventKinds() []EventKind {
 			Help: "staged plan discarded because it came due during a comms blackout"},
 		{Kind: "separation", Detail: "near-miss or violation",
 			Help: "a fleet pair tightened its separation band; value is the other member's index"},
+		{Kind: "resource", Detail: "-",
+			Help: "one second of platform load on a hardware campaign's board; value is aggregate CPU percent, mem_mb resident memory"},
 		{Kind: "abort", Detail: "abort cause",
 			Help: "the mission ended aborted; emitted immediately before end with the proximate cause"},
 		{Kind: "end", Detail: "mission outcome",

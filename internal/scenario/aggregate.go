@@ -75,6 +75,21 @@ type Aggregate struct {
 	SeparationViolations int
 	MeanFleetThroughput  float64
 
+	// Platform rows (Table III's resource summary and §V-C's figures),
+	// pooled over the PlatformRuns that carry a Result.Resources summary
+	// only, so a SIL aggregate leaves them zero and encodes as before.
+	// MeanCPU and MeanMemMB average the per-run means, PeakMemMB is the
+	// largest peak, MeanMaxGPSDrift averages the runs' GPS drift maxima
+	// (Fig. 5d), and MeanLandedError the landing error of the LandedRuns
+	// that touched down, pad or no pad (§V-C's field figure).
+	PlatformRuns    int
+	MeanCPU         float64
+	MeanMemMB       float64
+	PeakMemMB       float64
+	MeanMaxGPSDrift float64
+	LandedRuns      int
+	MeanLandedError float64
+
 	// Accumulators behind the derived means above. They stay unexported:
 	// consumers read the derived fields, shards combine through Merge, and
 	// the JSON codec (codec.go) persists them for distributed merges. The
@@ -87,6 +102,10 @@ type Aggregate struct {
 	detectedFrames int
 	recSum         fixed128
 	thrSum         fixed128
+	cpuSum         fixed128
+	memSum         fixed128
+	driftSum       fixed128
+	landedSum      fixed128
 }
 
 // NewAggregate returns an empty aggregate row for one system label, ready
@@ -141,6 +160,17 @@ func (a *Aggregate) Add(r Result) {
 		a.SeparationViolations += r.SeparationViolations
 		a.thrSum = a.thrSum.add(fixedFromFloat(r.FleetThroughput))
 	}
+	if res := r.Resources; res != nil {
+		a.PlatformRuns++
+		a.cpuSum = a.cpuSum.add(fixedFromFloat(res.MeanCPU))
+		a.memSum = a.memSum.add(fixedFromFloat(res.MeanMemMB))
+		a.PeakMemMB = max(a.PeakMemMB, res.PeakMemMB)
+		a.driftSum = a.driftSum.add(fixedFromFloat(r.MaxGPSDrift))
+		if r.Landed && !math.IsNaN(r.LandingError) {
+			a.LandedRuns++
+			a.landedSum = a.landedSum.add(fixedFromFloat(r.LandingError))
+		}
+	}
 	a.refresh()
 }
 
@@ -171,6 +201,13 @@ func (a *Aggregate) Merge(b Aggregate) {
 	a.NearMisses += b.NearMisses
 	a.SeparationViolations += b.SeparationViolations
 	a.thrSum = a.thrSum.add(b.thrSum)
+	a.PlatformRuns += b.PlatformRuns
+	a.cpuSum = a.cpuSum.add(b.cpuSum)
+	a.memSum = a.memSum.add(b.memSum)
+	a.PeakMemMB = max(a.PeakMemMB, b.PeakMemMB)
+	a.driftSum = a.driftSum.add(b.driftSum)
+	a.LandedRuns += b.LandedRuns
+	a.landedSum = a.landedSum.add(b.landedSum)
 	if len(b.AbortCauses) > 0 {
 		if a.AbortCauses == nil {
 			a.AbortCauses = make(map[string]int, len(b.AbortCauses))
@@ -203,6 +240,16 @@ func (a *Aggregate) refresh() {
 	a.MeanFleetThroughput = 0
 	if a.FleetRuns > 0 {
 		a.MeanFleetThroughput = a.thrSum.float() / float64(a.FleetRuns)
+	}
+	a.MeanCPU, a.MeanMemMB, a.MeanMaxGPSDrift = 0, 0, 0
+	if a.PlatformRuns > 0 {
+		a.MeanCPU = a.cpuSum.float() / float64(a.PlatformRuns)
+		a.MeanMemMB = a.memSum.float() / float64(a.PlatformRuns)
+		a.MeanMaxGPSDrift = a.driftSum.float() / float64(a.PlatformRuns)
+	}
+	a.MeanLandedError = 0
+	if a.LandedRuns > 0 {
+		a.MeanLandedError = a.landedSum.float() / float64(a.LandedRuns)
 	}
 }
 

@@ -104,6 +104,9 @@ type resultJSON struct {
 	NearMisses           int     `json:"near_misses,omitempty"`
 	SeparationViolations int     `json:"separation_violations,omitempty"`
 	FleetThroughput      float64 `json:"fleet_throughput,omitempty"`
+
+	// Platform-load summary; a SIL run carries none and encodes as before.
+	Resources *Resources `json:"resources,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler with a bit-exact, NaN-safe
@@ -131,6 +134,7 @@ func (r Result) MarshalJSON() ([]byte, error) {
 		NearMisses:           r.NearMisses,
 		SeparationViolations: r.SeparationViolations,
 		FleetThroughput:      r.FleetThroughput,
+		Resources:            r.Resources,
 	})
 }
 
@@ -162,6 +166,7 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 		NearMisses:           v.NearMisses,
 		SeparationViolations: v.SeparationViolations,
 		FleetThroughput:      v.FleetThroughput,
+		Resources:            v.Resources,
 	}
 	return nil
 }
@@ -222,11 +227,41 @@ type aggregateJSON struct {
 	SeparationViolations int    `json:"separation_violations,omitempty"`
 	ThrSumHi             int64  `json:"thr_sum_hi,omitempty"`
 	ThrSumLo             uint64 `json:"thr_sum_lo,omitempty"`
+
+	// Platform rows; nil on a SIL aggregate, which encodes as before.
+	Platform *platformJSON `json:"platform,omitempty"`
+}
+
+// platformJSON is the wire form of an Aggregate's platform rows.
+type platformJSON struct {
+	Runs        int     `json:"runs"`
+	CPUSumHi    int64   `json:"cpu_sum_hi"`
+	CPUSumLo    uint64  `json:"cpu_sum_lo"`
+	MemSumHi    int64   `json:"mem_sum_hi"`
+	MemSumLo    uint64  `json:"mem_sum_lo"`
+	PeakMemMB   float64 `json:"peak_mem_mb"`
+	DriftSumHi  int64   `json:"drift_sum_hi"`
+	DriftSumLo  uint64  `json:"drift_sum_lo"`
+	LandedN     int     `json:"landed_n"`
+	LandedSumHi int64   `json:"landed_sum_hi"`
+	LandedSumLo uint64  `json:"landed_sum_lo"`
 }
 
 // MarshalJSON implements json.Marshaler, persisting the accumulators so a
 // decoded aggregate merges bit-identically to the original.
 func (a Aggregate) MarshalJSON() ([]byte, error) {
+	var platform *platformJSON
+	if a.PlatformRuns > 0 {
+		platform = &platformJSON{
+			Runs:     a.PlatformRuns,
+			CPUSumHi: a.cpuSum.hi, CPUSumLo: a.cpuSum.lo,
+			MemSumHi: a.memSum.hi, MemSumLo: a.memSum.lo,
+			PeakMemMB:  a.PeakMemMB,
+			DriftSumHi: a.driftSum.hi, DriftSumLo: a.driftSum.lo,
+			LandedN:     a.LandedRuns,
+			LandedSumHi: a.landedSum.hi, LandedSumLo: a.landedSum.lo,
+		}
+	}
 	return json.Marshal(aggregateJSON{
 		System:               a.System,
 		Runs:                 a.Runs,
@@ -255,6 +290,7 @@ func (a Aggregate) MarshalJSON() ([]byte, error) {
 		SeparationViolations: a.SeparationViolations,
 		ThrSumHi:             a.thrSum.hi,
 		ThrSumLo:             a.thrSum.lo,
+		Platform:             platform,
 	})
 }
 
@@ -288,6 +324,15 @@ func (a *Aggregate) UnmarshalJSON(b []byte) error {
 		NearMisses:           v.NearMisses,
 		SeparationViolations: v.SeparationViolations,
 		thrSum:               fixed128{hi: v.ThrSumHi, lo: v.ThrSumLo},
+	}
+	if p := v.Platform; p != nil {
+		a.PlatformRuns = p.Runs
+		a.cpuSum = fixed128{hi: p.CPUSumHi, lo: p.CPUSumLo}
+		a.memSum = fixed128{hi: p.MemSumHi, lo: p.MemSumLo}
+		a.PeakMemMB = p.PeakMemMB
+		a.driftSum = fixed128{hi: p.DriftSumHi, lo: p.DriftSumLo}
+		a.LandedRuns = p.LandedN
+		a.landedSum = fixed128{hi: p.LandedSumHi, lo: p.LandedSumLo}
 	}
 	a.refresh()
 	return nil

@@ -20,8 +20,8 @@ import (
 // rebuilt from start-of-tick positions, so inter-drone sensing is
 // symmetric within a tick and the whole run is a pure function of
 // (seed, FleetSpec). Member 0 is the primary: it keeps the run's seed,
-// fault plan and observer, so its sensor streams are exactly what a solo
-// run of the same cell would draw. See docs/fleet.md.
+// fault plan and platform model, so its sensor streams are exactly what
+// a solo run of the same cell would draw. See docs/fleet.md.
 
 // Fleet geometry and deconfliction thresholds.
 const (
@@ -194,7 +194,7 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 		msys := sys
 		if j > 0 {
 			mcfg.Seed = fleetMemberSeed(cfg.Seed, j)
-			mcfg.Observer = nil
+			mcfg.Platform = nil
 			mcfg.Timing.Faults = nil
 			var err error
 			msys, err = BuildSystem(gen, sc, mcfg.Seed)

@@ -29,7 +29,7 @@ func GridSeed(gen core.Generation, mapIdx, scIdx, rep int) int64 {
 
 // ConfigureFunc customizes one grid run after the world is generated and
 // the system assembled, but before the mission flies. Hooks mutate the
-// run config (timing, observers, fault injection) or the scenario's
+// run config (timing, platform, fault injection) or the scenario's
 // weather, and tune the system (replan cadence). Campaign workers call
 // hooks concurrently, one invocation per run; a hook must only touch the
 // arguments it is handed plus its own synchronized state.

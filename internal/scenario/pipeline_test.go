@@ -135,48 +135,40 @@ func TestPipelineLatencyChangesDelivery(t *testing.T) {
 	}
 }
 
-// moduleCounter is a ResourceObserver counting module activity.
-type moduleCounter struct {
-	detects, depths, controls int
-}
-
-func (r *moduleCounter) RecordDetect()                 { r.detects++ }
-func (r *moduleCounter) RecordDepth()                  { r.depths++ }
-func (r *moduleCounter) RecordPlan()                   {}
-func (r *moduleCounter) RecordControl()                { r.controls++ }
-func (r *moduleCounter) Advance(dt, t float64, mb int) {}
-
 // TestPipelineApplyLag proves every applied perception batch records its
 // tick-stamped delivery delay on the flight recorder — exactly k for every
-// batch — and that module-activity callbacks keep firing under the
-// pipelined runner.
+// batch — and that the platform model keeps charging module work under
+// the pipelined runner.
 func TestPipelineApplyLag(t *testing.T) {
 	const k = 2
-	mods := &moduleCounter{}
 	tr := obs.NewTrace(1 << 16)
+	platform := &Platform{Cores: 4, CoreSpeed: 1, DetectMS: 380, DepthMS: 130, PlanMS: 1100,
+		ControlMS: 6, FeedMS: 1100, MemBaseMB: 1970, MemBufferMB: 150}
 	configure := func(sc *worldgen.Scenario, sys *core.System, cfg *RunConfig) {
-		cfg.Observer = mods
+		cfg.Platform = platform
 		cfg.Recorder = tr
 	}
-	if _, err := RunGridCell(core.V3, 2, 4, GridSeed(core.V3, 2, 4, 0), pipelineTiming(k), configure); err != nil {
+	res, err := RunGridCell(core.V3, 2, 4, GridSeed(core.V3, 2, 4, 0), pipelineTiming(k), configure)
+	if err != nil {
 		t.Fatal(err)
 	}
-	applies := 0
+	applies, samples := 0, 0
 	for _, ev := range tr.Events() {
-		if ev.Kind != "apply" {
-			continue
-		}
-		applies++
-		if ev.Value != k {
-			t.Fatalf("batch at tick %d delivered with delay %v ticks, want %d", ev.Tick, ev.Value, k)
+		switch ev.Kind {
+		case "apply":
+			applies++
+			if ev.Value != k {
+				t.Fatalf("batch at tick %d delivered with delay %v ticks, want %d", ev.Tick, ev.Value, k)
+			}
+		case "resource":
+			samples++
 		}
 	}
 	if applies == 0 {
 		t.Fatal("no perception batches applied")
 	}
-	if mods.detects == 0 || mods.depths == 0 || mods.controls == 0 {
-		t.Fatalf("module activity lost under the pipeline: detects=%d depths=%d controls=%d",
-			mods.detects, mods.depths, mods.controls)
+	if samples == 0 || res.Resources == nil || res.Resources.MeanCPU <= 0 {
+		t.Fatalf("platform load lost under the pipeline: %d samples, summary %+v", samples, res.Resources)
 	}
 }
 

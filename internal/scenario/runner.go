@@ -186,18 +186,6 @@ func (t Timing) WithFast() Timing {
 	return t
 }
 
-// ResourceObserver receives module-activity callbacks during a run so a
-// platform model (internal/hil) can reconstruct CPU/memory series without
-// the runner depending on it. Fault edges and perception-stage timing
-// reach such a model through the flight recorder (RunConfig.Recorder).
-type ResourceObserver interface {
-	RecordDetect()
-	RecordDepth()
-	RecordPlan()
-	RecordControl()
-	Advance(dt, t float64, mapBytes int)
-}
-
 // RunConfig parameterizes one run.
 type RunConfig struct {
 	Timing Timing
@@ -211,9 +199,9 @@ type RunConfig struct {
 	// ErroneousDepthRate enables the real-world effects of RQ3 (spurious
 	// point-cloud clusters, Fig. 5c).
 	ErroneousDepthRate float64
-	// Observer, when non-nil, receives module-activity callbacks for
-	// resource modeling (Table III / Fig. 7).
-	Observer ResourceObserver
+	// Platform, when non-nil, is the board the run's load is charged to
+	// (Table III / Fig. 7; see Platform).
+	Platform *Platform
 	// Recorder, when non-nil, receives the run's flight-recorder events
 	// (see internal/obs): tick-stamped fault/blackout/degraded edges,
 	// perception capture/apply, staged-plan dispositions, fleet
@@ -264,6 +252,9 @@ type Result struct {
 	Stats core.Stats
 	// MaxGPSDrift is the largest GPS bias seen (Fig. 5d analysis).
 	MaxGPSDrift float64
+	// Resources is a hardware run's platform-load summary; nil without
+	// RunConfig.Platform (and then absent from the wire encoding).
+	Resources *Resources
 
 	// Dependability metrics, populated only by fault campaigns (all zero
 	// on nominal runs, and omitted from the wire encoding, so the digests
@@ -387,6 +378,9 @@ type mission struct {
 	member       int
 	prevBlackout bool
 	prevDegraded bool
+
+	// load is the platform account; untouched without RunConfig.Platform.
+	load platformLoad
 }
 
 // newMission normalizes the config and assembles the run's actors. Each
@@ -750,8 +744,7 @@ func (m *mission) beginTick() core.SensorEpoch {
 }
 
 // stepSystem feeds one epoch to the system under test, maintains the
-// Table II detection accounting, and routes module activity to the
-// resource observer.
+// Table II detection accounting, and charges the step to the platform.
 func (m *mission) stepSystem(epoch core.SensorEpoch, markerVisible bool) core.Command {
 	detBefore := m.sys.Stats().Detections
 	plansBefore := m.sys.Stats().Replans + m.sys.Stats().PlanFailures
@@ -759,20 +752,9 @@ func (m *mission) stepSystem(epoch core.SensorEpoch, markerVisible bool) core.Co
 	if markerVisible && m.sys.Stats().Detections > detBefore {
 		m.res.MarkerDetectedFrames++
 	}
-	if obs := m.cfg.Observer; obs != nil {
-		obs.RecordControl()
-		if epoch.HaveDetections {
-			obs.RecordDetect()
-		}
-		if epoch.Depth != nil {
-			obs.RecordDepth()
-		}
-		if plans := m.sys.Stats().Replans + m.sys.Stats().PlanFailures; plans > plansBefore {
-			for k := plansBefore; k < plans; k++ {
-				obs.RecordPlan()
-			}
-		}
-		obs.Advance(m.t.Dt, m.now, m.sys.Map().MemoryBytes())
+	if p := m.cfg.Platform; p != nil {
+		plans := m.sys.Stats().Replans + m.sys.Stats().PlanFailures - plansBefore
+		m.chargePlatform(p, epoch.HaveDetections, epoch.Depth != nil, plans)
 	}
 	return cmd
 }
@@ -815,6 +797,7 @@ func (m *mission) crashed(applied core.Command) bool {
 		m.res.Duration = m.now
 		finishMetrics(&m.res, m.sys, m.sc)
 		m.finishFaults()
+		m.finishPlatform()
 		m.recordEnd()
 		return true
 	}
@@ -831,6 +814,7 @@ func (m *mission) crashed(applied core.Command) bool {
 			m.res.Duration = m.now
 			finishMetrics(&m.res, m.sys, m.sc)
 			m.finishFaults()
+			m.finishPlatform()
 			m.recordEnd()
 			return true
 		}
@@ -844,6 +828,7 @@ func (m *mission) classify() Result {
 	m.res.FinalState = m.sys.State()
 	finishMetrics(&m.res, m.sys, m.sc)
 	m.finishFaults()
+	m.finishPlatform()
 	switch {
 	case m.res.Landed && !m.res.OnWater && m.res.LandingError <= m.cfg.SuccessRadius:
 		m.res.Outcome = Success

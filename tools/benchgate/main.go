@@ -2,7 +2,7 @@
 // output of the benchmark smoke step and fails when the performance
 // layer's allocation guarantees rot.
 //
-//	go run ./tools/benchgate -bench bench-smoke.txt -baseline BENCH_6.json
+//	go run ./tools/benchgate -bench bench-smoke.txt -baseline BENCH_7.json
 //
 // Two classes of gate:
 //
@@ -44,6 +44,11 @@
 // Absolute timing numbers are parsed and reported but never gated — CI
 // machines are too noisy for wall-clock thresholds; the committed snapshot
 // plus the uploaded artifact keep the ns/op history reviewable by humans.
+//
+// The snapshot is written by the same tool from a smoke file of CI's own
+// commands, gating nothing:
+//
+//	go run ./tools/benchgate -bench bench-smoke.txt -baseline BENCH_6.json -write BENCH_7.json
 package main
 
 import (
@@ -117,47 +122,72 @@ type measurement struct {
 	Metrics map[string]float64
 }
 
-// baseline mirrors the slice of BENCH_2.json the gate needs.
-type baseline struct {
-	Benchmarks map[string]struct {
-		After struct {
-			AllocsOp float64 `json:"allocs_op"`
-		} `json:"after"`
-	} `json:"benchmarks"`
+// snapshot is a benchmark snapshot (BENCH_N.json). The gate reads each
+// gated benchmark's after.allocs_op; -write records one from a smoke
+// file, each entry the median of the benchmark's readings.
+type snapshot struct {
+	Method     string           `json:"method,omitempty"`
+	Benchmarks map[string]entry `json:"benchmarks"`
+}
+
+// entry is one benchmark of a snapshot.
+type entry struct {
+	Unit  string `json:"unit"`
+	After struct {
+		NsOp     float64 `json:"ns_op"`
+		BytesOp  float64 `json:"bytes_op"`
+		AllocsOp float64 `json:"allocs_op"`
+	} `json:"after"`
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
 	benchPath := flag.String("bench", "bench-smoke.txt", "go test -bench output to gate")
-	basePath := flag.String("baseline", "BENCH_6.json", "committed benchmark snapshot")
+	basePath := flag.String("baseline", "BENCH_7.json", "committed benchmark snapshot")
 	maxRegress := flag.Float64("max-regress", 0.10, "allowed fractional allocs/op regression for BenchmarkRun")
 	minFastSpeedup := flag.Float64("min-fast-speedup", 1.8, "required BenchmarkRun/BenchmarkRunFast ns/op ratio (0 disables the gate)")
+	write := flag.String("write", "", "instead of gating, write the snapshot -bench records to this path (unit texts carried over from -baseline)")
 	flag.Parse()
 
-	if err := run(*benchPath, *basePath, *maxRegress, *minFastSpeedup, os.Stdout); err != nil {
+	var err error
+	if *write != "" {
+		err = writeSnapshot(*benchPath, *basePath, *write)
+	} else {
+		err = run(*benchPath, *basePath, *maxRegress, *minFastSpeedup, os.Stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-// run executes the gate and writes a human-readable verdict table.
-func run(benchPath, basePath string, maxRegress, minFastSpeedup float64, w io.Writer) error {
+// load parses the smoke file at benchPath and the snapshot at basePath.
+func load(benchPath, basePath string) (map[string][]measurement, snapshot, error) {
+	var base snapshot
 	f, err := os.Open(benchPath)
 	if err != nil {
-		return err
+		return nil, base, err
 	}
 	defer f.Close()
 	results, err := parseBench(f)
 	if err != nil {
-		return fmt.Errorf("parse %s: %w", benchPath, err)
+		return nil, base, fmt.Errorf("parse %s: %w", benchPath, err)
 	}
-
 	baseBytes, err := os.ReadFile(basePath)
 	if err != nil {
-		return err
+		return nil, base, err
 	}
-	var base baseline
 	if err := json.Unmarshal(baseBytes, &base); err != nil {
-		return fmt.Errorf("parse %s: %w", basePath, err)
+		return nil, base, fmt.Errorf("parse %s: %w", basePath, err)
+	}
+	return results, base, nil
+}
+
+// run executes the gate and writes a human-readable verdict table.
+func run(benchPath, basePath string, maxRegress, minFastSpeedup float64, w io.Writer) error {
+	results, base, err := load(benchPath, basePath)
+	if err != nil {
+		return err
 	}
 
 	var violations []string
@@ -247,6 +277,68 @@ func run(benchPath, basePath string, maxRegress, minFastSpeedup float64, w io.Wr
 	return nil
 }
 
+// writeSnapshot records the smoke file at benchPath as a snapshot at
+// outPath: every gated benchmark's median reading, its unit text carried
+// over from the snapshot at prevPath. A gated benchmark missing from the
+// smoke file is an error, so a snapshot never drops a budget.
+func writeSnapshot(benchPath, prevPath, outPath string) error {
+	results, prev, err := load(benchPath, prevPath)
+	if err != nil {
+		return err
+	}
+	snap := snapshot{
+		Method: fmt.Sprintf("written by tools/benchgate -write from %s: each gated benchmark's median over its readings; unit texts carried over from %s",
+			benchPath, prevPath),
+		Benchmarks: map[string]entry{},
+	}
+	names := append(append([]string{}, zeroAllocBenchmarks...), gatedBenchmarks...)
+	for _, g := range metricGates {
+		names = append(names, g.Bench)
+	}
+	for _, name := range names {
+		readings := results[name]
+		if len(readings) == 0 {
+			return fmt.Errorf("%s: missing from %s", name, benchPath)
+		}
+		med := func(f func(measurement) float64) float64 {
+			vals := make([]float64, len(readings))
+			for i, m := range readings {
+				vals[i] = f(m)
+			}
+			return median(vals)
+		}
+		e := entry{Unit: prev.Benchmarks[name].Unit}
+		e.After.NsOp = med(func(m measurement) float64 { return m.NsOp })
+		e.After.BytesOp = med(func(m measurement) float64 { return m.Metrics["B/op"] })
+		e.After.AllocsOp = med(func(m measurement) float64 { return m.AllocsOp })
+		for unit := range readings[0].Metrics {
+			if unit != "B/op" {
+				if e.Metrics == nil {
+					e.Metrics = map[string]float64{}
+				}
+				e.Metrics[unit] = med(func(m measurement) float64 { return m.Metrics[unit] })
+			}
+		}
+		snap.Benchmarks[name] = e
+	}
+	out, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+}
+
+// median returns the middle value of vals, or the mean of the middle two
+// for an even count. It sorts vals in place.
+func median(vals []float64) float64 {
+	slices.Sort(vals)
+	mid := vals[len(vals)/2]
+	if len(vals)%2 == 0 {
+		mid = (vals[len(vals)/2-1] + mid) / 2
+	}
+	return mid
+}
+
 // fastSpeedup gates the median of the per-pair den/num ns/op ratios at
 // minSpeedup, pairing the k-th reading of each benchmark. It reports ok
 // lines to w and returns the violation, or "" when the gate holds.
@@ -267,17 +359,13 @@ func fastSpeedup(den, num []measurement, minSpeedup float64, w io.Writer) string
 		sorted[i] = den[i].NsOp / num[i].NsOp
 		ratios[i] = fmt.Sprintf("%.2f", sorted[i])
 	}
-	slices.Sort(sorted)
-	median := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		median = (sorted[len(sorted)/2-1] + median) / 2
-	}
-	if median < minSpeedup {
+	mid := median(sorted)
+	if mid < minSpeedup {
 		return fmt.Sprintf("fast-speedup: median %s/%s = %.2fx over %d pairs (%s), want >= %.2fx (fast engine mode lost its headroom)",
-			fastRatioDen, fastRatioNum, median, len(sorted), strings.Join(ratios, " "), minSpeedup)
+			fastRatioDen, fastRatioNum, mid, len(sorted), strings.Join(ratios, " "), minSpeedup)
 	}
 	fmt.Fprintf(w, "ok   %-24s median %.2fx >= %.2fx over %d %s/%s pairs (%s)\n",
-		"fast-speedup", median, minSpeedup, len(sorted), fastRatioDen, fastRatioNum, strings.Join(ratios, " "))
+		"fast-speedup", mid, minSpeedup, len(sorted), fastRatioDen, fastRatioNum, strings.Join(ratios, " "))
 	return ""
 }
 

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -464,5 +466,68 @@ func TestParseBench(t *testing.T) {
 	}
 	if _, err := parseBench(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty input did not error")
+	}
+}
+
+// TestSnapshotRecordedFromSmoke: -write records a smoke file as the
+// snapshot the gate reads — each gated benchmark's median reading, its
+// unit text carried over from the previous snapshot — and that snapshot
+// passes the file it was recorded from, while a reading one allocation
+// over its +10% budget fails.
+func TestSnapshotRecordedFromSmoke(t *testing.T) {
+	dir := t.TempDir()
+	smoke := filepath.Join(dir, "bench-smoke.txt")
+	// Two more BenchmarkRun/BenchmarkRunFast pairs, so the medians are
+	// taken over three readings.
+	bench := goodBench + strings.Repeat(
+		"BenchmarkRun-4    5    310000000 ns/op   8618000 B/op   11780 allocs/op\n"+
+			"BenchmarkRunFast-4    5    150000000 ns/op   8665000 B/op   10260 allocs/op\n", 2)
+	prev := filepath.Join(dir, "BENCH_prev.json")
+	snap := filepath.Join(dir, "BENCH_next.json")
+	if err := os.WriteFile(smoke, []byte(bench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prev, []byte(`{"benchmarks": {"BenchmarkRun": {"unit": "one mission"}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSnapshot(smoke, prev, snap); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got snapshot
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	br := got.Benchmarks["BenchmarkRun"]
+	if br.Unit != "one mission" || br.After.AllocsOp != 11780 || br.After.NsOp != 310000000 || br.After.BytesOp != 8618000 {
+		t.Fatalf("BenchmarkRun entry %+v, want the carried unit and the median of 3 readings", br)
+	}
+	if m := got.Benchmarks["BenchmarkDispatchOverhead"].Metrics["overhead-%"]; m != 1.73 {
+		t.Errorf("dispatch overhead metric %v, want 1.73", m)
+	}
+	for _, name := range append(append([]string{}, zeroAllocBenchmarks...), gatedBenchmarks...) {
+		if _, ok := got.Benchmarks[name]; !ok {
+			t.Errorf("snapshot lacks gated benchmark %s", name)
+		}
+	}
+
+	var out strings.Builder
+	if err := run(smoke, snap, 0.10, 1.8, &out); err != nil {
+		t.Fatalf("the snapshot fails the smoke file it was recorded from: %v\n%s", err, out.String())
+	}
+	budget := int(math.Floor(br.After.AllocsOp * 1.10))
+	for allocs, pass := range map[int]bool{budget: true, budget + 1: false} {
+		over := strings.Replace(bench, "11771 allocs/op", fmt.Sprintf("%d allocs/op", allocs), 1)
+		if err := os.WriteFile(smoke, []byte(over), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		err := run(smoke, snap, 0.10, 1.8, &out)
+		if (err == nil) != pass {
+			t.Errorf("BenchmarkRun at %d allocs/op (budget %d): err = %v\n%s", allocs, budget, err, out.String())
+		}
 	}
 }
