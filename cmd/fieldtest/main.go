@@ -135,12 +135,7 @@ func main() {
 	if err != nil {
 		cliutil.Fatal("fieldtest", 1, err)
 	}
-	if len(timeline) > 0 {
-		fmt.Println("fault timeline of the first monitored flight:")
-		for _, ev := range timeline {
-			fmt.Println(obs.FormatEvent(ev))
-		}
-	}
+	cliutil.PrintEvents("fault timeline of the first monitored flight:", timeline)
 
 	if *resources || *csvPath != "" {
 		series, err := cliutil.ReflownEvents(spec, 0, report.Results[0], "resource")

@@ -57,7 +57,6 @@ func main() {
 		cliutil.Fatal("hilbench", 2, err)
 	}
 	if cf.Merge {
-		fmt.Println()
 		printReport(c, cliutil.Merge("hilbench", "runs", c.Profile(), flag.Args()), nil)
 		return
 	}
@@ -107,7 +106,6 @@ func main() {
 	// Fleet mode: workers resolve the campaign's profile name to the same
 	// replan/guard cadences and platform this process would apply locally.
 	if aggs, handled := cf.Distributed("hilbench", spec, c.Profile()); handled {
-		fmt.Println()
 		printReport(c, aggs, nil)
 		dumpMetrics(cf)
 		return
@@ -133,7 +131,7 @@ func main() {
 		fmt.Printf("%s (%d runs, %d perception batches)\n",
 			telemetry.OverlapSummary(ps.StageBusy, ps.Stall, ps.Wall), ps.Runs, ps.Batches)
 	}
-	fmt.Printf("aggregate digest: %s\n\n", report.Digest())
+	fmt.Printf("aggregate digest: %s\n", report.Digest())
 	timeline, err := cliutil.FaultTimeline(spec, report.Results)
 	if err != nil {
 		cliutil.Fatal("hilbench", 1, err)
@@ -171,17 +169,12 @@ func printReport(c *catalog.Campaign, aggs map[core.Generation]*scenario.Aggrega
 	if agg == nil {
 		cliutil.Fatal("hilbench", 1, fmt.Errorf("the campaign carries no MLS-V3 aggregate"))
 	}
-	fmt.Println("Table III — Experiment Results of HIL Testing")
+	fmt.Println("\nTable III — Experiment Results of HIL Testing")
 	fmt.Printf("%-10s %-22s %-26s %-26s\n", "System", "Successful Landing", "Failure (Collision)", "Failure (Poor Landing)")
 	fmt.Printf("%-10s %20.2f%% %24.2f%% %24.2f%%\n",
 		agg.System, agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate())
 	cliutil.PrintFleetAndDependability(*agg)
-	if len(timeline) > 0 {
-		fmt.Println("fault timeline of the first monitored run:")
-		for _, ev := range timeline {
-			fmt.Println(obs.FormatEvent(ev))
-		}
-	}
+	cliutil.PrintEvents("fault timeline of the first monitored run:", timeline)
 	// A run replayed from a journal written before runs carried a
 	// resource summary has none: the summary then counts the missing runs
 	// instead of averaging the rest.

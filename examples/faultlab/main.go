@@ -32,7 +32,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -94,12 +93,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(timeline) > 0 {
-			fmt.Printf("%-17s timeline of one mission:\n", ex.name)
-			for _, ev := range timeline {
-				fmt.Println(obs.FormatEvent(ev))
-			}
-		}
+		cliutil.PrintEvents(fmt.Sprintf("%-17s timeline of one mission:", ex.name), timeline)
 
 		agg := report.Aggregates[core.V3]
 		aborts := 0

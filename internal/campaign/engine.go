@@ -279,9 +279,15 @@ func Execute(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 					continue
 				}
 				ru := runs[i]
+				var configure scenario.ConfigureFunc
+				if spec.Configure != nil {
+					configure = func(sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
+						spec.Configure(ru, sc, sys, cfg)
+					}
+				}
 				t0 := time.Now()
 				mRunsStarted.Inc()
-				r, err := spec.fly(ru, nil)
+				r, err := scenario.RunGridCell(ru.Gen, ru.MapIdx, ru.ScenarioIdx, ru.Seed, spec.Timing, configure)
 				busyNs.Add(int64(time.Since(t0)))
 				if err == nil {
 					mRunsFinished.Inc()
@@ -354,24 +360,6 @@ func Execute(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 	return report, nil
 }
 
-// fly flies one resolved run of the spec: the path every executed run
-// takes. A non-nil rec becomes the run's flight recorder after the
-// spec's Configure hook has run.
-func (s Spec) fly(ru Run, rec obs.Recorder) (scenario.Result, error) {
-	var configure scenario.ConfigureFunc
-	if s.Configure != nil || rec != nil {
-		configure = func(sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
-			if s.Configure != nil {
-				s.Configure(ru, sc, sys, cfg)
-			}
-			if rec != nil {
-				cfg.Recorder = rec
-			}
-		}
-	}
-	return scenario.RunGridCell(ru.Gen, ru.MapIdx, ru.ScenarioIdx, ru.Seed, s.Timing, configure)
-}
-
 // Refly flies run index of the spec once more, with rec as its flight
 // recorder: runs are pure functions of (seed, Spec), so what rec holds
 // afterwards is that run's trace. digest is the campaign's record of the
@@ -385,7 +373,14 @@ func Refly(spec Spec, index int, digest string, rec obs.Recorder) (scenario.Resu
 	if index < 0 || index >= len(runs) {
 		return scenario.Result{}, fmt.Errorf("campaign: re-fly run %d: the campaign has runs [0,%d)", index, len(runs))
 	}
-	r, err := spec.fly(runs[index], rec)
+	ru := runs[index]
+	r, err := scenario.RunGridCell(ru.Gen, ru.MapIdx, ru.ScenarioIdx, ru.Seed, spec.Timing,
+		func(sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
+			if spec.Configure != nil {
+				spec.Configure(ru, sc, sys, cfg)
+			}
+			cfg.Recorder = rec
+		})
 	if err != nil {
 		return scenario.Result{}, err
 	}

@@ -8,7 +8,9 @@
 //   - the local execute path (Execute: trace, checkpoint, run, resume
 //     hint) and the -merge prologue (Merge);
 //   - the distributed entry points (-serve, -join) and the observability
-//     flags (-trace, -metrics, -debug).
+//     flags (-trace, -metrics, -debug);
+//   - the figures the hardware tools read from one re-flown run
+//     (ReflownEvents, FaultTimeline).
 //
 // Each cmd keeps only the flags that are genuinely its own (grid
 // dimensions, power modes, report selection) and its report printing.
@@ -238,6 +240,19 @@ func Merge(tool, unit, profile string, files []string) map[core.Generation]*scen
 	fmt.Printf("campaign result %s (%d %s)\n", files[0], res.Total, unit)
 	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(res.Aggregates))
 	return res.Aggregates
+}
+
+// PrintFleetAndDependability prints the hardware tools' airspace and
+// fault-campaign rows; each is silent when its knob is off.
+func PrintFleetAndDependability(agg scenario.Aggregate) {
+	if row := agg.FleetString(); row != "" {
+		fmt.Println("\nAirspace deconfliction (fleet campaign)")
+		fmt.Println(row)
+	}
+	if row := agg.DependabilityString(); row != "" {
+		fmt.Println("\nDependability (fault campaign)")
+		fmt.Println(row)
+	}
 }
 
 // readResult reads a campaign result file and checks that it holds a

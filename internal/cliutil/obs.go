@@ -110,16 +110,15 @@ func ReflownEvents(spec campaign.Spec, i int, r scenario.Result, kind string) ([
 	return out, nil
 }
 
-// PrintFleetAndDependability prints the hardware tools' airspace and
-// fault-campaign rows; each is silent when its knob is off.
-func PrintFleetAndDependability(agg scenario.Aggregate) {
-	if row := agg.FleetString(); row != "" {
-		fmt.Println("\nAirspace deconfliction (fleet campaign)")
-		fmt.Println(row)
+// PrintEvents prints header, then one obs.FormatEvent line per event;
+// nothing at all when there are no events.
+func PrintEvents(header string, events []obs.Event) {
+	if len(events) == 0 {
+		return
 	}
-	if row := agg.DependabilityString(); row != "" {
-		fmt.Println("\nDependability (fault campaign)")
-		fmt.Println(row)
+	fmt.Println(header)
+	for _, ev := range events {
+		fmt.Println(obs.FormatEvent(ev))
 	}
 }
 

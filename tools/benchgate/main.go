@@ -135,10 +135,8 @@ type entry struct {
 	Unit  string `json:"unit"`
 	After struct {
 		NsOp     float64 `json:"ns_op"`
-		BytesOp  float64 `json:"bytes_op"`
 		AllocsOp float64 `json:"allocs_op"`
 	} `json:"after"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -278,9 +276,10 @@ func run(benchPath, basePath string, maxRegress, minFastSpeedup float64, w io.Wr
 }
 
 // writeSnapshot records the smoke file at benchPath as a snapshot at
-// outPath: every gated benchmark's median reading, its unit text carried
-// over from the snapshot at prevPath. A gated benchmark missing from the
-// smoke file is an error, so a snapshot never drops a budget.
+// outPath: the median ns/op and allocs/op of every benchmark gated
+// against the snapshot, its unit text carried over from the snapshot at
+// prevPath. A gated benchmark missing from the smoke file is an error,
+// so a snapshot never drops a budget.
 func writeSnapshot(benchPath, prevPath, outPath string) error {
 	results, prev, err := load(benchPath, prevPath)
 	if err != nil {
@@ -291,34 +290,17 @@ func writeSnapshot(benchPath, prevPath, outPath string) error {
 			benchPath, prevPath),
 		Benchmarks: map[string]entry{},
 	}
-	names := append(append([]string{}, zeroAllocBenchmarks...), gatedBenchmarks...)
-	for _, g := range metricGates {
-		names = append(names, g.Bench)
-	}
-	for _, name := range names {
+	for _, name := range gatedBenchmarks {
 		readings := results[name]
 		if len(readings) == 0 {
 			return fmt.Errorf("%s: missing from %s", name, benchPath)
 		}
-		med := func(f func(measurement) float64) float64 {
-			vals := make([]float64, len(readings))
-			for i, m := range readings {
-				vals[i] = f(m)
-			}
-			return median(vals)
+		ns, allocs := make([]float64, len(readings)), make([]float64, len(readings))
+		for i, m := range readings {
+			ns[i], allocs[i] = m.NsOp, m.AllocsOp
 		}
 		e := entry{Unit: prev.Benchmarks[name].Unit}
-		e.After.NsOp = med(func(m measurement) float64 { return m.NsOp })
-		e.After.BytesOp = med(func(m measurement) float64 { return m.Metrics["B/op"] })
-		e.After.AllocsOp = med(func(m measurement) float64 { return m.AllocsOp })
-		for unit := range readings[0].Metrics {
-			if unit != "B/op" {
-				if e.Metrics == nil {
-					e.Metrics = map[string]float64{}
-				}
-				e.Metrics[unit] = med(func(m measurement) float64 { return m.Metrics[unit] })
-			}
-		}
+		e.After.NsOp, e.After.AllocsOp = median(ns), median(allocs)
 		snap.Benchmarks[name] = e
 	}
 	out, err := json.MarshalIndent(snap, "", "  ")

@@ -470,8 +470,9 @@ func TestParseBench(t *testing.T) {
 }
 
 // TestSnapshotRecordedFromSmoke: -write records a smoke file as the
-// snapshot the gate reads — each gated benchmark's median reading, its
-// unit text carried over from the previous snapshot — and that snapshot
+// snapshot the gate reads — each gated benchmark's median ns/op and
+// allocs/op, its unit text carried over from the previous snapshot — and
+// that snapshot
 // passes the file it was recorded from, while a reading one allocation
 // over its +10% budget fails.
 func TestSnapshotRecordedFromSmoke(t *testing.T) {
@@ -502,13 +503,10 @@ func TestSnapshotRecordedFromSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := got.Benchmarks["BenchmarkRun"]
-	if br.Unit != "one mission" || br.After.AllocsOp != 11780 || br.After.NsOp != 310000000 || br.After.BytesOp != 8618000 {
+	if br.Unit != "one mission" || br.After.AllocsOp != 11780 || br.After.NsOp != 310000000 {
 		t.Fatalf("BenchmarkRun entry %+v, want the carried unit and the median of 3 readings", br)
 	}
-	if m := got.Benchmarks["BenchmarkDispatchOverhead"].Metrics["overhead-%"]; m != 1.73 {
-		t.Errorf("dispatch overhead metric %v, want 1.73", m)
-	}
-	for _, name := range append(append([]string{}, zeroAllocBenchmarks...), gatedBenchmarks...) {
+	for _, name := range gatedBenchmarks {
 		if _, ok := got.Benchmarks[name]; !ok {
 			t.Errorf("snapshot lacks gated benchmark %s", name)
 		}
