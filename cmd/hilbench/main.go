@@ -132,11 +132,13 @@ func main() {
 			telemetry.OverlapSummary(ps.StageBusy, ps.Stall, ps.Wall), ps.Runs, ps.Batches)
 	}
 	fmt.Printf("aggregate digest: %s\n", report.Digest())
+	// A run that re-flies differently (a journal written by an older
+	// build) fails the tool, after the tables.
 	timeline, err := cliutil.FaultTimeline(spec, report.Results)
+	printReport(c, report.Aggregates, timeline)
 	if err != nil {
 		cliutil.Fatal("hilbench", 1, err)
 	}
-	printReport(c, report.Aggregates, timeline)
 	dumpMetrics(cf)
 }
 
