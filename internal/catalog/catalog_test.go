@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/hil"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/vision"
 	"repro/internal/worldgen"
@@ -226,5 +227,63 @@ func TestProfileHooksConfigure(t *testing.T) {
 	}
 	if _, err := Hook("sil"); err == nil {
 		t.Fatal(`profile "sil" resolved; sil leases carry ""`)
+	}
+}
+
+// A recorder chained behind the campaign's hook, as -trace and the re-fly
+// behind the fault timeline and Fig. 7 install one, monitors the run the
+// hook configured without replacing any of it: the re-flown field flight
+// digests as the hook-only flight (the field degradations and cadences
+// stay), and the recorder holds the load samples of the platform the hook
+// set, the very samples the flight's Result.Resources summarizes.
+func TestMonitorChainsBehindHook(t *testing.T) {
+	spec, err := Field.Spec(Grid{Runs: 2}, Knobs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := spec.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ru := runs[1]
+	r, err := scenario.RunGridCell(ru.Gen, ru.MapIdx, ru.ScenarioIdx, ru.Seed, spec.Timing,
+		func(sc *worldgen.Scenario, sys *core.System, cfg *scenario.RunConfig) {
+			spec.Configure(ru, sc, sys, cfg)
+			if cfg.Recorder != nil || cfg.ErroneousDepthRate != 0.04 || cfg.Platform == nil {
+				t.Errorf("field hook: recorder %v, erroneous depth rate %v, platform %v",
+					cfg.Recorder, cfg.ErroneousDepthRate, cfg.Platform)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Resources == nil {
+		t.Fatal("field flight carries no resource summary")
+	}
+
+	tr := obs.NewTrace(1 << 16)
+	if _, err := campaign.Refly(spec, 1, r.Digest(), tr); err != nil {
+		t.Fatalf("recorder behind the hook changed the flight: %v", err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events", tr.Dropped())
+	}
+	var n int
+	var cpu, mem, peak float64
+	for _, ev := range tr.Events() {
+		if ev.Kind != "resource" {
+			continue
+		}
+		n++
+		cpu += ev.Value
+		mem += ev.MemMB
+		peak = max(peak, ev.MemMB)
+	}
+	if n == 0 {
+		t.Fatal("recorder behind the hook saw no resource sample")
+	}
+	got := scenario.Resources{MeanCPU: cpu / float64(n), MeanMemMB: mem / float64(n), PeakMemMB: peak}
+	if got != *r.Resources {
+		t.Fatalf("%d recorded samples summarize to %+v, the flight's Result carries %+v", n, got, *r.Resources)
 	}
 }
