@@ -12,8 +12,10 @@
 // binary on every machine can serve or join anything; the bench tools'
 // own -serve/-join flags are the same machinery.
 //
-// The merged campaign persists with -out as the campaign result file,
-// readable by `<tool> -merge`. Progress is live on GET /v1/status.
+// With -checkpoint the coordinator journals every run it merges: rerun
+// the same -serve command to resume an interrupted campaign, or run the
+// owning tool with the same grid flags and -checkpoint <journal> to print
+// its paper tables. Progress is live on GET /v1/status.
 package main
 
 import (
@@ -82,8 +84,8 @@ func main() {
 	if aggs == nil {
 		return
 	}
-	// Generic per-generation summary; the owning tool's -merge renders the
-	// full paper tables from the -out file.
+	// Generic per-generation summary; the owning tool renders the full
+	// paper tables from the -checkpoint journal.
 	order := make([]core.Generation, 0, len(aggs))
 	for gen := range aggs {
 		order = append(order, gen)

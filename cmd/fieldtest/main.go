@@ -23,8 +23,11 @@
 // uninterrupted campaign (compare the printed aggregate digests): every
 // figure is pooled from the flights' own Results, and Fig. 7's series and
 // the fault timeline are read from one flight re-flown with a flight
-// recorder. -serve and -merge print the same figure lines; -resources
-// and -csv need the flights' Results, so they run locally only.
+// recorder. -serve prints the same figure lines; with -checkpoint the
+// coordinator journals every flight it merges, and this command with the
+// same flags and that journal replays the whole campaign, -resources and
+// -csv included (they need the flights' Results, so they run locally
+// only).
 package main
 
 import (
@@ -41,7 +44,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -62,10 +64,6 @@ func main() {
 	}
 
 	c := catalog.Field
-	if cf.Merge {
-		printAggregates(cliutil.Merge("fieldtest", "flights", c.Profile(), flag.Args()))
-		return
-	}
 	if cf.Join != "" {
 		// A worker needs no spec of its own: leases carry the campaign and
 		// name the run-configuration profile (weather floors, depth-error
@@ -122,10 +120,6 @@ func main() {
 	agg := *report.Aggregates[core.V3]
 
 	fmt.Println("\nReal-world results (paper §V-C)")
-	if cf.Pipeline {
-		ps := scenario.ReadPipelineStats()
-		fmt.Printf("  %s\n", telemetry.OverlapSummary(ps.StageBusy, ps.Stall, ps.Wall))
-	}
 	fmt.Printf("  aggregate digest: %s\n", report.Digest())
 	fmt.Printf("  success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights (%.1fs wall on %d workers, %.2fx speedup)\n",
 		agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs,
@@ -163,12 +157,11 @@ func main() {
 }
 
 // figureFlags refuses -resources and -csv where no flight's Result is at
-// hand to re-fly flight 0 against: a coordinator (-serve) and a
-// campaign result file (-merge) hold only aggregates, and a worker
-// (-join) flies leases, not the campaign.
+// hand to re-fly flight 0 against: a coordinator (-serve) holds only
+// aggregates, and a worker (-join) flies leases, not the campaign.
 func figureFlags(cf *cliutil.CampaignFlags, resources bool, csvPath string) error {
-	if (resources || csvPath != "") && (cf.Merge || cf.Serve != "" || cf.Join != "") {
-		return fmt.Errorf("-resources and -csv read flight 0 of a campaign flown here; drop them with -serve, -join or -merge")
+	if (resources || csvPath != "") && (cf.Serve != "" || cf.Join != "") {
+		return fmt.Errorf("-resources and -csv read flight 0 of a campaign flown here; drop them with -serve or -join")
 	}
 	return nil
 }
@@ -176,10 +169,10 @@ func figureFlags(cf *cliutil.CampaignFlags, resources bool, csvPath string) erro
 // printFigures prints §V-C's figures — the mean landing error of the
 // landed flights, the mean max GPS drift and the mean CPU and RAM —
 // then the fleet and fault rows. Every path prints through it, and every
-// figure is pooled from the flights' own Results, so a fresh, resumed,
-// served or merged campaign prints the same lines. A flight replayed from
-// a journal written before flights carried a resource summary has none;
-// the figures then say how many are missing instead of covering the rest.
+// figure is pooled from the flights' own Results, so a fresh, resumed or
+// served campaign prints the same lines. A flight replayed from a journal
+// written before flights carried a resource summary has none; the
+// figures then say how many are missing instead of covering the rest.
 func printFigures(agg scenario.Aggregate) {
 	agg.System = "MLS-V3-field"
 	if missing := agg.Runs - agg.PlatformRuns; missing > 0 {
@@ -215,8 +208,8 @@ func seriesCSV(series []obs.Event) []byte {
 	return b.Bytes()
 }
 
-// printAggregates is the report of -serve and -merge: the campaign's
-// outcome rates, then the same figures a local run prints.
+// printAggregates is the report of -serve: the campaign's outcome rates,
+// then the same figures a local run prints.
 func printAggregates(aggs map[core.Generation]*scenario.Aggregate) {
 	agg := aggs[core.V3]
 	if agg == nil {

@@ -77,10 +77,9 @@ func TestResourceLineScope(t *testing.T) {
 
 // TestFigureFlagsRefuseRemotePaths: -resources and -csv re-fly flight 0
 // against the campaign's own Results, which only a local run has; with
-// -merge, -join or -serve they are refused (exit 2) instead of ignored.
+// -join or -serve they are refused (exit 2) instead of ignored.
 func TestFigureFlagsRefuseRemotePaths(t *testing.T) {
 	remote := map[string]*cliutil.CampaignFlags{
-		"-merge": {Merge: true},
 		"-join":  {Join: "http://127.0.0.1:9"},
 		"-serve": {Serve: "127.0.0.1:0"},
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -16,17 +17,19 @@ import (
 // campaign (hilbench) and a small field campaign (fieldtest), both under
 // the gps fault preset, flown four ways — fresh, resumed from a journal
 // that holds a strict subset of the runs including run 0, served over
-// 127.0.0.1 to one -join worker, and printed again with -merge from the
-// served -out file. The Table III resource lines and §V-C's
+// 127.0.0.1 to one -join worker with a coordinator -checkpoint journal,
+// and printed again by the local command replaying that journal whole.
+// The aggregate digest, the Table III resource lines and §V-C's
 // landing-error, GPS-drift and CPU/RAM lines are identical on all four
 // paths; the Fig. 7 table, the CSV bytes and the fault timeline are
-// identical fresh and resumed. The test builds both binaries.
+// identical fresh, resumed and replayed. The test builds both binaries.
 
 // tool is one hardware tool under test: its grid flags and the stdout
 // lines that carry its figures.
 type tool struct {
 	name    string
 	grid    []string
+	runs    int // the grid's run count
 	figures func(line string) bool
 	// local are the flags only a locally flown campaign takes.
 	local func(dir string) []string
@@ -36,6 +39,7 @@ var hardwareTools = []tool{
 	{
 		name: "hilbench",
 		grid: []string{"-maps", "1", "-scenarios", "3", "-faults", "gps"},
+		runs: 3,
 		figures: func(line string) bool {
 			return strings.HasPrefix(line, "Resource summary") || strings.HasPrefix(line, "  mean CPU")
 		},
@@ -44,6 +48,7 @@ var hardwareTools = []tool{
 	{
 		name: "fieldtest",
 		grid: []string{"-runs", "4", "-faults", "gps"},
+		runs: 4,
 		figures: func(line string) bool {
 			for _, p := range []string{"  mean landing error:", "  mean max GPS drift:", "  mean CPU"} {
 				if strings.HasPrefix(line, p) {
@@ -87,7 +92,7 @@ func TestFiguresPathIndependent(t *testing.T) {
 			}
 
 			// Fresh, writing a journal of every run.
-			freshDir, resumedDir := t.TempDir(), t.TempDir()
+			freshDir, resumedDir, replayedDir := t.TempDir(), t.TempDir(), t.TempDir()
 			journal := filepath.Join(t.TempDir(), "journal")
 			fresh := run(with(append([]string{"-workers", "2", "-checkpoint", journal}, tl.local(freshDir)...)...)...)
 
@@ -98,10 +103,11 @@ func TestFiguresPathIndependent(t *testing.T) {
 				t.Fatalf("the rerun did not resume from the trimmed journal:\n%s", resumed)
 			}
 
-			// Served to one worker, and printed again from the -out file.
+			// Served to one worker, and printed again by replaying the
+			// coordinator's journal.
 			addr := freeAddr(t)
-			out := filepath.Join(t.TempDir(), "result.json")
-			serve := exec.Command(exe, with("-serve", addr, "-out", out)...)
+			coordJournal := filepath.Join(t.TempDir(), "coord.ckpt")
+			serve := exec.Command(exe, with("-serve", addr, "-checkpoint", coordJournal)...)
 			var served bytes.Buffer
 			serve.Stdout = &served
 			if err := serve.Start(); err != nil {
@@ -112,27 +118,36 @@ func TestFiguresPathIndependent(t *testing.T) {
 			if err := serve.Wait(); err != nil {
 				t.Fatalf("%s -serve: %v", tl.name, err)
 			}
-			merged := run("-merge", out)
+			replayed := run(with(append([]string{"-workers", "2", "-checkpoint", coordJournal}, tl.local(replayedDir)...)...)...)
+			if n := tl.runs; !strings.Contains(replayed, fmt.Sprintf("resuming with %d/%d runs", n, n)) {
+				t.Fatalf("the local command did not replay the coordinator's whole journal:\n%s", replayed)
+			}
 
 			want := figureLines(fresh, tl.figures)
 			if len(want) == 0 {
 				t.Fatalf("fresh run printed no figure lines:\n%s", fresh)
 			}
-			for path, stdout := range map[string]string{"resumed": resumed, "served": served.String(), "merged": merged} {
+			paths := map[string]string{"resumed": resumed, "served": served.String(), "replayed": replayed}
+			for path, stdout := range paths {
 				if got := figureLines(stdout, tl.figures); strings.Join(got, "\n") != strings.Join(want, "\n") {
 					t.Errorf("%s figures differ from fresh:\n got %q\nwant %q", path, got, want)
+				}
+				if got, want := digest(stdout), digest(fresh); got == "" || got != want {
+					t.Errorf("%s aggregate digest %q, fresh %q", path, got, want)
 				}
 			}
 
 			// The re-flown figures: fault timeline, Fig. 7 table and CSV.
-			if a, b := reflownLines(fresh), reflownLines(resumed); a == "" || a != b {
-				t.Errorf("fault timeline / Fig. 7 differ fresh and resumed:\nfresh:\n%s\nresumed:\n%s", a, b)
-			}
-			if tl.name == "fieldtest" {
-				a, errA := os.ReadFile(filepath.Join(freshDir, "f.csv"))
-				b, errB := os.ReadFile(filepath.Join(resumedDir, "f.csv"))
-				if errA != nil || errB != nil || len(a) == 0 || !bytes.Equal(a, b) {
-					t.Errorf("Fig. 7 CSV differs fresh and resumed (%v, %v):\n%s\n%s", errA, errB, a, b)
+			for path, dir := range map[string]string{"resumed": resumedDir, "replayed": replayedDir} {
+				if a, b := reflownLines(fresh), reflownLines(paths[path]); a == "" || a != b {
+					t.Errorf("fault timeline / Fig. 7 differ fresh and %s:\nfresh:\n%s\n%s:\n%s", path, a, path, b)
+				}
+				if tl.name == "fieldtest" {
+					a, errA := os.ReadFile(filepath.Join(freshDir, "f.csv"))
+					b, errB := os.ReadFile(filepath.Join(dir, "f.csv"))
+					if errA != nil || errB != nil || len(a) == 0 || !bytes.Equal(a, b) {
+						t.Errorf("Fig. 7 CSV differs fresh and %s (%v, %v):\n%s\n%s", path, errA, errB, a, b)
+					}
 				}
 			}
 		})
@@ -165,6 +180,13 @@ func keepRuns(t *testing.T, path string, runs ...int) {
 	if err := os.WriteFile(path, []byte(kept), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// digest returns the aggregate digest stdout prints.
+func digest(stdout string) string {
+	_, rest, _ := strings.Cut(stdout, "aggregate digest: ")
+	d, _, _ := strings.Cut(rest, "\n")
+	return d
 }
 
 // figureLines returns stdout's figure lines in order.

@@ -16,11 +16,13 @@
 //
 // Campaigns at scale: -checkpoint journals finished runs for crash-safe
 // resume; -serve coordinates the campaign across -join workers (the custom
-// HIL seed derivation ships inside each lease, by value) and -serve -out
-// persists the merged result for -merge to print again. Every row,
-// resource lines included, is bit-identical to one uninterrupted run in
-// all cases; the fault timeline is read from the first faulted run,
-// re-flown, wherever the campaign's runs are at hand (fresh or resumed).
+// HIL seed derivation ships inside each lease, by value), and with
+// -checkpoint the coordinator journals every run it merges. Run this
+// command with the same grid flags and that journal to print the served
+// campaign again. Every row, resource lines included, is bit-identical to
+// one uninterrupted run in all cases; the fault timeline is read from the
+// first faulted run, re-flown, wherever the campaign's runs are at hand
+// (fresh, resumed, or replayed from the coordinator's journal).
 package main
 
 import (
@@ -33,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 	"repro/internal/worldgen"
 )
 
@@ -55,10 +56,6 @@ func main() {
 	c, err := powerMode(*mode)
 	if err != nil {
 		cliutil.Fatal("hilbench", 2, err)
-	}
-	if cf.Merge {
-		printReport(c, cliutil.Merge("hilbench", "runs", c.Profile(), flag.Args()), nil)
-		return
 	}
 	if cf.Join != "" {
 		// A worker needs no spec of its own: leases carry the campaign and
@@ -126,11 +123,6 @@ func main() {
 	hits, misses, resident := worldgen.Shared.Stats()
 	fmt.Printf("world cache: %d hits / %d generations, %d worlds resident\n",
 		hits, misses, resident)
-	if cf.Pipeline {
-		ps := scenario.ReadPipelineStats()
-		fmt.Printf("%s (%d runs, %d perception batches)\n",
-			telemetry.OverlapSummary(ps.StageBusy, ps.Stall, ps.Wall), ps.Runs, ps.Batches)
-	}
 	fmt.Printf("aggregate digest: %s\n", report.Digest())
 	// A run that re-flies differently (a journal written by an older
 	// build) fails the tool, after the tables.
@@ -162,10 +154,10 @@ func dumpMetrics(cf *cliutil.CampaignFlags) {
 
 // printReport prints every row of the campaign's MLS-V3 aggregate:
 // Table III, the fleet and fault rows, the Table III resource summary
-// and the auxiliary figures. The local, resumed, -serve and -merge paths
-// all print through it, so they print the same lines; timeline, the
-// fault timeline of one re-flown run, exists only where the campaign's
-// runs are at hand.
+// and the auxiliary figures. The local, resumed and -serve paths all
+// print through it, so they print the same lines; timeline, the fault
+// timeline of one re-flown run, exists only where the campaign's runs are
+// at hand.
 func printReport(c *catalog.Campaign, aggs map[core.Generation]*scenario.Aggregate, timeline []obs.Event) {
 	agg := aggs[core.V3]
 	if agg == nil {

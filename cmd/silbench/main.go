@@ -13,10 +13,11 @@
 // Campaigns at scale: -checkpoint makes the sweep crash-safe (Ctrl-C it,
 // rerun the same command, it resumes where it stopped); -serve turns the
 // tool into the campaign's coordinator and -join into one of its workers,
-// so any number of machines can split the campaign; -serve -out persists
-// the merged result and -merge prints its tables again. Every path is
-// bit-identical to one uninterrupted run — compare the printed aggregate
-// digests.
+// so any number of machines can split the campaign. -serve -checkpoint
+// journals every run the coordinator merges: rerun the -serve command to
+// resume it, or run this command with the same grid flags and that
+// -checkpoint to print its tables again. Every path is bit-identical to
+// one uninterrupted run — compare the printed aggregate digests.
 //
 // Dependability campaigns: -faults applies a fault-injection plan (a
 // preset name or an internal/fault spec string) to every run — the sweep
@@ -80,14 +81,6 @@ func main() {
 		cliutil.Fatal("silbench", 1, err)
 	}
 
-	if cf.Merge {
-		merged := cliutil.Merge("silbench", "runs", catalog.SIL.Profile(), flag.Args())
-		gens := []core.Generation{core.V1, core.V2, core.V3} // the printers skip absent rows
-		printTables(gens, merged)
-		printDependability(gens, merged)
-		printFleet(gens, merged)
-		return
-	}
 	if cf.Join != "" {
 		// A worker needs no spec of its own: leases carry the campaign.
 		cf.Distributed("silbench", campaign.Spec{}, "")
@@ -193,11 +186,6 @@ func main() {
 	hits, misses, resident := worldgen.Shared.Stats()
 	fmt.Printf("world cache: %d hits / %d generations, %d worlds resident\n",
 		hits, misses, resident)
-	if cf.Pipeline || cf.Fast {
-		ps := scenario.ReadPipelineStats()
-		fmt.Printf("%s (%d runs, %d perception batches)\n",
-			telemetry.OverlapSummary(ps.StageBusy, ps.Stall, ps.Wall), ps.Runs, ps.Batches)
-	}
 	fmt.Printf("aggregate digest: %s\n", report.Digest())
 
 	// Rows print in -systems order.

@@ -148,7 +148,7 @@ func TestFaultCampaignShardMergeShuffled(t *testing.T) {
 // fault plan is part of the Spec signature (journals refuse to resume a
 // campaign whose plan changed), it ships inside leases by value, and a
 // nil plan stays out of Timing's encoding entirely so pre-fault journals
-// and result files still match their signatures.
+// still match their signatures.
 func TestFaultPlanTravelsTheWireFormats(t *testing.T) {
 	faulted := faultSpec()
 	nominal := faulted

@@ -186,7 +186,7 @@ func TestFleetCampaignShardMergeShuffled(t *testing.T) {
 // fleet spec is part of the Spec signature (journals refuse to resume a
 // campaign whose fleet changed), it ships inside leases by value, and a
 // nil or single-drone spec stays out of Timing's encoding entirely so
-// pre-fleet journals and result files still match their signatures.
+// pre-fleet journals still match their signatures.
 func TestFleetSpecTravelsTheWireFormats(t *testing.T) {
 	fleet := fleetSpec()
 	solo := fleet

@@ -207,8 +207,8 @@ func TestPipelineTravelsTheWireFormats(t *testing.T) {
 	}
 
 	// Backward compatibility: the zero (PipelineOff) knobs must stay out
-	// of Timing's JSON entirely, so journals and result files recorded
-	// before the pipeline existed keep matching their campaign signature.
+	// of Timing's JSON entirely, so journals recorded before the pipeline
+	// existed keep matching their campaign signature.
 	b, err := json.Marshal(off.Timing)
 	if err != nil {
 		t.Fatal(err)

@@ -61,14 +61,14 @@ type Journal struct {
 	completed map[int]scenario.Result
 }
 
-// Signature returns a hex digest binding a journal (or a result file) to
-// one exact campaign: the resolved run list — cells, canonical order, and
-// per-run seeds, so a custom Spec.Seed is captured by value — plus the
-// timing profile. Configure is a function and cannot be hashed, so it is
-// outside the signature. Hooks that only observe need nothing more, but
-// the HIL and field campaigns' hooks change results: their identity
-// travels beside the signature as the campaign's name in internal/catalog,
-// which a coordinator lease carries as its profile.
+// Signature returns a hex digest binding a journal to one exact campaign:
+// the resolved run list — cells, canonical order, and per-run seeds, so a
+// custom Spec.Seed is captured by value — plus the timing profile.
+// Configure is a function and cannot be hashed, so it is outside the
+// signature. Hooks that only observe need nothing more, but the HIL and
+// field campaigns' hooks change results: their identity travels beside
+// the signature as the campaign's name in internal/catalog, which a
+// coordinator lease carries as its profile.
 func (s Spec) Signature() (string, error) {
 	runs, err := s.Runs()
 	if err != nil {
@@ -235,6 +235,9 @@ func (j *Journal) reset() error {
 	}
 	return j.f.Sync()
 }
+
+// Sig returns the signature of the campaign the journal is bound to.
+func (j *Journal) Sig() string { return j.sig }
 
 // Len returns the number of completed runs on record.
 func (j *Journal) Len() int {

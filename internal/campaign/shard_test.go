@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -196,69 +194,5 @@ func TestShardAndCheckpointCompose(t *testing.T) {
 	rand.New(rand.NewSource(1)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	if d := mergeSlices(t, spec, uploads, order); d != want {
 		t.Fatalf("resumed-lease merge digest %s != uninterrupted %s", d, want)
-	}
-}
-
-// TestReadShardResultValidation: the campaign result file reads back to
-// the rows that were written, and a file that does not cover its whole
-// campaign is refused with an error naming the file.
-func TestReadShardResultValidation(t *testing.T) {
-	row := func(runs int) *scenario.Aggregate {
-		a := scenario.NewAggregate(core.V1.String())
-		for i := 0; i < runs; i++ {
-			a.Add(scenario.Result{Outcome: scenario.Success, LandingError: 0.25, Landed: true})
-		}
-		return a
-	}
-	whole := func() *ShardResult {
-		return &ShardResult{Count: 1, End: 2, Total: 2, Sig: "sig",
-			Aggregates: map[core.Generation]*scenario.Aggregate{core.V1: row(2)}}
-	}
-	dir := t.TempDir()
-	write := func(name string, sr *ShardResult) string {
-		path := filepath.Join(dir, name)
-		if err := WriteShardResult(path, sr); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	ok := whole()
-	got, err := ReadShardResult(write("ok.json", ok))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if AggregatesDigest(got.Aggregates) != AggregatesDigest(ok.Aggregates) || got.Sig != ok.Sig {
-		t.Fatalf("result file round trip changed the rows: %+v", got)
-	}
-
-	bad := map[string]func(*ShardResult){
-		"partial-range": func(sr *ShardResult) { sr.End = 1 },
-		"second-part":   func(sr *ShardResult) { sr.Index, sr.Count = 1, 2 },
-		"two-parts":     func(sr *ShardResult) { sr.Count = 2 },
-		"offset-start":  func(sr *ShardResult) { sr.Start = 1 },
-		"empty":         func(sr *ShardResult) { sr.End, sr.Total, sr.Aggregates = 0, 0, nil },
-		"null-row":      func(sr *ShardResult) { sr.Aggregates[core.V2] = nil },
-		"short-rows":    func(sr *ShardResult) { sr.Aggregates[core.V1] = row(1) },
-		"extra-rows":    func(sr *ShardResult) { sr.Aggregates[core.V2] = row(1) },
-	}
-	for name, edit := range bad {
-		sr := whole()
-		edit(sr)
-		path := write(name+".json", sr)
-		if _, err := ReadShardResult(path); err == nil || !strings.Contains(err.Error(), path) {
-			t.Errorf("%s: err = %v, want a refusal naming %s", name, err, path)
-		}
-	}
-
-	garbage := filepath.Join(dir, "garbage.json")
-	if err := os.WriteFile(garbage, []byte(`{"index": 0, "aggregates": {"x": {}}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShardResult(garbage); err == nil || !strings.Contains(err.Error(), garbage) {
-		t.Errorf("malformed file: err = %v, want a refusal naming it", err)
-	}
-	if _, err := ReadShardResult(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing result file did not error")
 	}
 }

@@ -21,6 +21,9 @@ import (
 // campaign's coordinator — the spec it would have executed locally is
 // dispatched to pulling workers instead — and `-join http://host:9131`
 // turns it into a worker for whatever campaign that coordinator owns.
+// With -checkpoint the coordinator journals every run it merges: rerun
+// the same -serve command to resume, or the local command with the same
+// grid flags to print the campaign again from the journal.
 
 // shutdownLinger is how long a finished coordinator keeps answering
 // before exiting, so workers polling at their usual cadence receive the
@@ -40,7 +43,9 @@ func (f *CampaignFlags) Distributed(tool string, spec campaign.Spec, profile str
 		defer stop()
 		aggs, err := f.ServeCampaign(ctx, tool, spec, profile)
 		if err != nil {
-			Fatal(tool, 1, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+			f.CheckpointHint(tool, ctx.Err() != nil)
+			os.Exit(1)
 		}
 		return aggs, true
 	case f.Join != "":
@@ -56,8 +61,19 @@ func (f *CampaignFlags) Distributed(tool string, spec campaign.Spec, profile str
 
 // ServeCampaign runs the coordinator for spec on f.Serve until the
 // campaign completes (returning the merged aggregates) or ctx cancels.
+// With -checkpoint it resumes from the runs already journaled there and
+// journals every run it merges.
 func (f *CampaignFlags) ServeCampaign(ctx context.Context, tool string, spec campaign.Spec, profile string) (map[core.Generation]*scenario.Aggregate, error) {
-	cfg := coord.Config{Spec: spec, Profile: profile, LeaseTTL: f.LeaseTTL}
+	j, err := f.OpenCheckpoint(spec)
+	if err != nil {
+		return nil, err
+	}
+	replayed := 0
+	if j != nil {
+		defer j.Close()
+		replayed = j.Len()
+	}
+	cfg := coord.Config{Spec: spec, Profile: profile, LeaseTTL: f.LeaseTTL, Journal: j}
 	if f.Progress {
 		cfg.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, tool+": "+format+"\n", args...)
@@ -89,8 +105,7 @@ func (f *CampaignFlags) ServeCampaign(ctx context.Context, tool string, spec cam
 		select {
 		case <-ctx.Done():
 			srv.Close()
-			return nil, fmt.Errorf("interrupted with %d/%d runs merged (workers keep their journals; restart the coordinator to continue)",
-				c.Status().Done, spec.Total())
+			return nil, fmt.Errorf("interrupted with %d/%d runs merged", c.Status().Done, spec.Total())
 		case <-tick.C:
 			if f.Progress {
 				st := c.Status()
@@ -104,20 +119,13 @@ func (f *CampaignFlags) ServeCampaign(ctx context.Context, tool string, spec cam
 	}
 
 	st := c.Status()
+	// The run count and rate cover the runs this process merged, not
+	// those its journal already held.
 	fmt.Printf("%s: campaign complete: %d runs in %.1fs (%.1f runs/s) across %d leases on %d workers\n",
-		tool, st.Total, st.ElapsedSeconds, st.RunsPerSec, st.Leases, st.Workers)
+		tool, st.Total-replayed, st.ElapsedSeconds, st.RunsPerSec, st.Leases, st.Workers)
 	fmt.Printf("%s: %d expired leases re-dispatched, %d duplicate results folded; cell affinity %d/%d hits\n",
 		tool, st.Expired, st.Dups, st.AffinityHits, st.AffinityHits+st.AffinityMisses)
 	fmt.Printf("aggregate digest: %s\n", c.Digest())
-
-	if f.Out != "" {
-		// The merged campaign persists as a single full-range shard result,
-		// so it plugs into the existing `<tool> -merge` flow.
-		if err := campaign.WriteShardResult(f.Out, c.ShardResult()); err != nil {
-			return nil, err
-		}
-		fmt.Printf("merged campaign written to %s\n", f.Out)
-	}
 
 	// Let the fleet hear the completion signal before the listener goes
 	// away.

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -27,10 +29,28 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// runsStarted reads the campaign_runs_started_total series off the
+// metrics plane.
+func runsStarted(t *testing.T) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := obs.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "campaign_runs_started_total ") {
+			return line
+		}
+	}
+	t.Fatal("no campaign_runs_started_total series")
+	return ""
+}
+
 // TestDistributedLoopback drives the exact code path the tools run:
-// Distributed(-serve -out) coordinating, Distributed(-join) working, the
-// merged aggregates matching a direct local execution bit for bit, and
-// -merge reading the same digest back from the campaign result file.
+// Distributed(-serve -checkpoint) coordinating, Distributed(-join)
+// working, the merged aggregates matching a direct local execution bit for
+// bit, and a local Execute over the coordinator's journal replaying every
+// run, flying none, to the same digest.
 func TestDistributedLoopback(t *testing.T) {
 	spec := campaign.Spec{
 		Maps:        campaign.Range(1),
@@ -45,8 +65,8 @@ func TestDistributedLoopback(t *testing.T) {
 	}
 
 	addr := freePort(t)
-	out := filepath.Join(t.TempDir(), "result.json")
-	serve := &CampaignFlags{Serve: addr, LeaseTTL: 10 * time.Second, Out: out}
+	journal := filepath.Join(t.TempDir(), "coord.ckpt")
+	serve := &CampaignFlags{Serve: addr, LeaseTTL: 10 * time.Second, Checkpoint: journal}
 
 	var (
 		wg   sync.WaitGroup
@@ -88,8 +108,14 @@ func TestDistributedLoopback(t *testing.T) {
 	if got, want := campaign.AggregatesDigest(aggs), campaign.AggregatesDigest(direct.Aggregates); got != want {
 		t.Fatalf("fleet digest %s != direct digest %s", got, want)
 	}
-	if got, want := campaign.AggregatesDigest(Merge("test", "runs", "", []string{out})), direct.Digest(); got != want {
-		t.Fatalf("-merge of the result file: digest %s != direct %s", got, want)
+
+	started := runsStarted(t)
+	replay := (&CampaignFlags{Checkpoint: journal}).Execute("test", spec, campaign.Options{Workers: 2, Ordered: true})
+	if after := runsStarted(t); after != started {
+		t.Fatalf("replaying the coordinator's journal flew runs: %q -> %q", started, after)
+	}
+	if got, want := replay.Digest(), direct.Digest(); got != want {
+		t.Fatalf("replay of the coordinator's journal: digest %s != direct %s", got, want)
 	}
 }
 
@@ -115,51 +141,5 @@ func TestDistributedUnsetIsLocal(t *testing.T) {
 	f := &CampaignFlags{}
 	if aggs, handled := f.Distributed("test", campaign.Spec{}, ""); handled || aggs != nil {
 		t.Fatalf("no -serve/-join must run locally: %v %v", aggs, handled)
-	}
-}
-
-// writeResultFile writes a one-run campaign result file of profile.
-func writeResultFile(t *testing.T, profile string) string {
-	t.Helper()
-	agg := scenario.NewAggregate("MLS-V3")
-	agg.Add(scenario.Result{Resources: &scenario.Resources{MeanCPU: 250}})
-	path := filepath.Join(t.TempDir(), "result.json")
-	sr := &campaign.ShardResult{Count: 1, End: 1, Total: 1, Profile: profile,
-		Aggregates: map[core.Generation]*scenario.Aggregate{core.V3: agg}}
-	if err := campaign.WriteShardResult(path, sr); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestMergeRefusesAnotherToolsCampaign: -merge reads only its own tool's
-// campaigns. A field result file is refused by hilbench (hil-maxn) and by
-// silbench (sil), naming the campaign it holds, and read by fieldtest.
-func TestMergeRefusesAnotherToolsCampaign(t *testing.T) {
-	field := writeResultFile(t, "field")
-	for _, profile := range []string{"hil-maxn", ""} {
-		if _, err := readResult(field, profile); err == nil || !strings.Contains(err.Error(), `holds campaign profile "field"`) {
-			t.Errorf("profile %q read a field file: err = %v", profile, err)
-		}
-	}
-	if res, err := readResult(field, "field"); err != nil || res.Profile != "field" {
-		t.Fatalf("fieldtest refused its own file: %v", err)
-	}
-}
-
-// TestMergeRefusesUnprofiledHardwareFile: a file that names no profile is
-// a sil campaign, or a hardware one written before result files recorded
-// their profile, whose rows carry no resource summaries. hilbench and
-// fieldtest refuse it and say to serve the campaign again; silbench
-// reads it as before.
-func TestMergeRefusesUnprofiledHardwareFile(t *testing.T) {
-	old := writeResultFile(t, "")
-	for _, profile := range []string{"hil-maxn", "field"} {
-		if _, err := readResult(old, profile); err == nil || !strings.Contains(err.Error(), "serve it again") {
-			t.Errorf("profile %q read an unprofiled file: err = %v", profile, err)
-		}
-	}
-	if _, err := readResult(old, ""); err != nil {
-		t.Fatalf("silbench refused a sil file: %v", err)
 	}
 }

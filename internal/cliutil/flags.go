@@ -1,12 +1,12 @@
 // Package cliutil is the shared command-line layer of the bench tools.
 // silbench, hilbench, fieldtest and campaignd all run the same campaign
 // machinery, so it is defined once here:
-//   - the campaign flags (-workers, -progress, -checkpoint, -out/-merge,
-//     -pipeline, -faults, -fast, -fleet), whose timing knobs reach
-//     internal/catalog, where every named campaign's Spec is built,
-//     through Knobs;
+//   - the campaign flags (-workers, -progress, -checkpoint, -pipeline,
+//     -faults, -fast, -fleet), whose timing knobs reach internal/catalog,
+//     where every named campaign's Spec is built, through Knobs;
 //   - the local execute path (Execute: trace, checkpoint, run, resume
-//     hint) and the -merge prologue (Merge);
+//     hint), which also prints a served campaign again from the
+//     coordinator's -checkpoint journal;
 //   - the distributed entry points (-serve, -join) and the observability
 //     flags (-trace, -metrics, -debug);
 //   - the figures the hardware tools read from one re-flown run
@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/scenario"
 )
@@ -41,8 +40,6 @@ type CampaignFlags struct {
 	Workers    int
 	Progress   bool
 	Checkpoint string
-	Out        string
-	Merge      bool
 	Pipeline   bool
 	Faults     string
 	Fast       bool
@@ -67,10 +64,7 @@ func Register(fs *flag.FlagSet) *CampaignFlags {
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), "parallel run workers (1 = sequential)")
 	fs.BoolVar(&f.Progress, "progress", false, "print campaign progress with ETA to stderr")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "",
-		"journal file for crash-safe resume (rerun the same command to continue); with -join: a journal directory")
-	fs.StringVar(&f.Out, "out", "",
-		"with -serve: write the campaign result file here once every run has merged (print it again with -merge)")
-	fs.BoolVar(&f.Merge, "merge", false, "print the tables from the campaign result file given as the argument (written by -serve -out)")
+		"journal file for crash-safe resume (rerun the same command to continue); with -serve: the coordinator's record of every merged run, printed again by the local command with the same grid flags; with -join: a journal directory")
 	fs.BoolVar(&f.Pipeline, "pipeline", false,
 		"run perception on a concurrent stage (tick-stamped delivery; sense-to-act latency emerges from stage cost)")
 	fs.StringVar(&f.Faults, "faults", "",
@@ -100,12 +94,6 @@ func Register(fs *flag.FlagSet) *CampaignFlags {
 func (f *CampaignFlags) Validate() error {
 	if f.Serve != "" && f.Join != "" {
 		return fmt.Errorf("-serve and -join are mutually exclusive (one process is either coordinator or worker)")
-	}
-	if f.Merge && (f.Serve != "" || f.Join != "" || f.Trace != "") {
-		return fmt.Errorf("-merge only reads a campaign result file; drop -serve/-join/-trace")
-	}
-	if f.Out != "" && f.Serve == "" {
-		return fmt.Errorf("-out writes the campaign result file of -serve; add -serve or drop -out")
 	}
 	if f.LeaseTTL <= 0 {
 		return fmt.Errorf("-lease-ttl %s: want a positive duration", f.LeaseTTL)
@@ -223,25 +211,6 @@ func (f *CampaignFlags) Execute(tool string, spec campaign.Spec, opts campaign.O
 	return report
 }
 
-// Merge is the -merge prologue every bench tool shares: it reads the one
-// campaign result file that -serve -out wrote and prints the banner and
-// the aggregate digest. unit names what a run is to the tool ("runs",
-// "flights"); profile is the catalog profile of the campaign the tool
-// prints (catalog.Campaign.Profile), and a file holding any other
-// campaign is refused. Errors are fatal.
-func Merge(tool, unit, profile string, files []string) map[core.Generation]*scenario.Aggregate {
-	if len(files) != 1 {
-		Fatal(tool, 2, fmt.Errorf("-merge reads one campaign result file (written by -serve -out), got %d", len(files)))
-	}
-	res, err := readResult(files[0], profile)
-	if err != nil {
-		Fatal(tool, 1, err)
-	}
-	fmt.Printf("campaign result %s (%d %s)\n", files[0], res.Total, unit)
-	fmt.Printf("aggregate digest: %s\n", campaign.AggregatesDigest(res.Aggregates))
-	return res.Aggregates
-}
-
 // PrintFleetAndDependability prints the hardware tools' airspace and
 // fault-campaign rows; each is silent when its knob is off.
 func PrintFleetAndDependability(agg scenario.Aggregate) {
@@ -253,20 +222,6 @@ func PrintFleetAndDependability(agg scenario.Aggregate) {
 		fmt.Println("\nDependability (fault campaign)")
 		fmt.Println(row)
 	}
-}
-
-// readResult reads a campaign result file and checks that it holds a
-// campaign of profile.
-func readResult(path, profile string) (*campaign.ShardResult, error) {
-	res, err := campaign.ReadShardResult(path)
-	if err == nil && res.Profile != profile {
-		// A hil or field file written before result files recorded their
-		// profile reads as sil's "" and is refused too: its rows carry no
-		// resource summaries.
-		return nil, fmt.Errorf("campaign result %s holds campaign profile %q, not %q (a hil or field file written before result files recorded their profile holds \"\": serve it again with -serve -out)",
-			path, res.Profile, profile)
-	}
-	return res, err
 }
 
 // Fatal prints a tool-prefixed error and exits with the given code.

@@ -55,18 +55,13 @@ func TestRegisterAndValidate(t *testing.T) {
 		t.Fatalf("workers not defaulted: %d", f.Workers)
 	}
 
-	// -out names the campaign result file of -serve.
-	if err := parse(t, "-serve", ":9131", "-out", "result.json").Validate(); err != nil {
+	// -checkpoint names the coordinator's journal with -serve.
+	if err := parse(t, "-serve", ":9131", "-checkpoint", "coord.ckpt").Validate(); err != nil {
 		t.Fatal(err)
 	}
 
 	bad := [][]string{
 		{"-serve", ":9131", "-join", "http://x:9131"},
-		{"-serve", ":9131", "-merge"},
-		{"-join", "http://x:9131", "-merge"},
-		{"-merge", "-trace", "t.jsonl"},
-		{"-out", "result.json"},
-		{"-join", "http://x:9131", "-out", "result.json"},
 		{"-serve", ":9131", "-lease-ttl", "0"},
 		{"-serve", ":9131", "-lease-ttl", "-5s"},
 	}

@@ -233,7 +233,6 @@ func TestObsFlagValidation(t *testing.T) {
 	bad := [][]string{
 		{"-trace", "t.jsonl", "-serve", ":9131"},
 		{"-trace", "t.jsonl", "-join", "http://x:9131"},
-		{"-trace", "t.jsonl", "-merge"},
 	}
 	for _, args := range bad {
 		f := parse(t, args...)

@@ -1,10 +1,14 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,21 +107,128 @@ func TestLoopbackFleetDigestIdentity(t *testing.T) {
 	if got, want := c.Digest(), direct.Digest(); got != want {
 		t.Fatalf("fleet digest %s != direct digest %s", got, want)
 	}
-	sh := c.ShardResult()
-	if sh.Total != spec.Total() || sh.Sig != c.merger.Sig() {
-		t.Fatalf("shard result %+v inconsistent with campaign", sh)
+}
+
+// TestLoopbackCoordinatorRestart is the coordinator's crash-safety proof.
+// Coordinator A journals what it merges; a worker uploads k−1 runs one at
+// a time and dies on the k-th; A stops. Coordinator B, on the reopened
+// journal, starts with those runs merged and only the rest pending —
+// without counting them toward its own throughput — and fresh workers
+// drain it to the direct run's digest. A journal that holds every run is
+// done at construction, and one opened for another Spec is refused.
+func TestLoopbackCoordinatorRestart(t *testing.T) {
+	spec := campaign.Spec{
+		Maps:        campaign.Range(2),
+		Scenarios:   []int{0, 5},
+		Repeats:     2,
+		Generations: []core.Generation{core.V1},
+		Timing:      scenario.SILTiming(),
 	}
-	// The -out artifact round-trips through the reader -merge uses.
-	path := filepath.Join(t.TempDir(), "result.json")
-	if err := campaign.WriteShardResult(path, sh); err != nil {
-		t.Fatal(err)
-	}
-	res, err := campaign.ReadShardResult(path)
+	direct, err := campaign.Execute(context.Background(), spec, campaign.Options{Workers: 2, Ordered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := campaign.AggregatesDigest(res.Aggregates); d != direct.Digest() {
-		t.Fatalf("result file digest %s != direct %s", d, direct.Digest())
+	path := filepath.Join(t.TempDir(), "coord.ckpt")
+	serve := func() (*Coordinator, *httptest.Server, *campaign.Journal) {
+		t.Helper()
+		j, err := campaign.OpenJournal(path, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 10 * time.Second, Journal: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, httptest.NewServer(c.Handler()), j
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	// A: one-run uploads, so runs 0..k-2 merge (the second lease only in
+	// part) and run k-1 dies unsent.
+	const k = 4
+	a, srvA, ja := serve()
+	_, err = Work(ctx, WorkerOptions{
+		Addr: srvA.URL, Name: "doomed", PollInterval: 20 * time.Millisecond,
+		FlushEvery: 1, DieAfterRuns: k,
+	})
+	if !errors.Is(err, errChaosDeath) {
+		t.Fatalf("doomed worker: err = %v, want chaos death", err)
+	}
+	if st := a.Status(); st.Done != k-1 {
+		t.Fatalf("coordinator A merged %d runs, want %d", st.Done, k-1)
+	}
+	srvA.Close()
+	ja.Close()
+
+	b, srvB, jb := serve()
+	st := b.Status()
+	if st.Done != k-1 || st.Pending != st.Total-(k-1) || st.Complete {
+		t.Fatalf("restarted coordinator: done %d, pending %d of %d; want %d done, %d pending",
+			st.Done, st.Pending, st.Total, k-1, st.Total-(k-1))
+	}
+	if st.RunsPerSec != 0 || st.ETASeconds != 0 {
+		t.Fatalf("replayed runs counted as this process's throughput: %.1f runs/s, ETA %.1fs", st.RunsPerSec, st.ETASeconds)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = Work(ctx, WorkerOptions{
+				Addr: srvB.URL, Name: []string{"w0", "w1"}[i], PollInterval: 20 * time.Millisecond,
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	select {
+	case <-b.Done():
+	default:
+		t.Fatal("workers exited but the restarted campaign is not complete")
+	}
+	if got, want := b.Digest(), direct.Digest(); got != want {
+		t.Fatalf("restarted coordinator digest %s != direct digest %s", got, want)
+	}
+	srvB.Close()
+	jb.Close()
+
+	// The journal now holds every run: done before any worker asks.
+	c, srvC, jc := serve()
+	defer srvC.Close()
+	defer jc.Close()
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("a complete journal did not finish the campaign at construction")
+	}
+	if c.Digest() != direct.Digest() {
+		t.Fatalf("complete journal digest %s != direct digest %s", c.Digest(), direct.Digest())
+	}
+	body, _ := json.Marshal(LeaseRequest{Worker: "late"})
+	resp, err := http.Post(srvC.URL+PathLease, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("first lease request on a complete journal: %s, want 410", resp.Status)
+	}
+
+	other := spec
+	other.Repeats = 1
+	jo, err := campaign.OpenJournal(filepath.Join(t.TempDir(), "other.ckpt"), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jo.Close()
+	if _, err := NewCoordinator(Config{Spec: spec, Journal: jo}); err == nil || !strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("journal of another campaign: err = %v, want a refusal", err)
 	}
 }
 

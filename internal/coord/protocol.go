@@ -138,8 +138,10 @@ type Status struct {
 	Expired        int     `json:"expired"` // leases lost and re-dispatched
 	Dups           int     `json:"duplicates"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// ETASeconds extrapolates from mean merge throughput; 0 when done or
-	// when nothing has merged yet.
+	// RunsPerSec is the mean merge throughput of this process: runs its
+	// journal held at start count in Done but not here. ETASeconds
+	// extrapolates from it; both are 0 until this process merges a run,
+	// and the ETA is 0 once done.
 	ETASeconds float64 `json:"eta_seconds"`
 	RunsPerSec float64 `json:"runs_per_sec"`
 	Complete   bool    `json:"complete"`

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -189,6 +190,39 @@ func TestUploadRejectsConflictingResult(t *testing.T) {
 	}
 	if c.merger.Done() != 1 {
 		t.Fatalf("done = %d, want 1 (original result untouched)", c.merger.Done())
+	}
+}
+
+// TestUploadFailsOnJournalWriteError: a coordinator that cannot journal a
+// new run fails the upload with a 5xx and merges nothing from it, so it
+// acknowledges no run its journal does not hold.
+func TestUploadFailsOnJournalWriteError(t *testing.T) {
+	spec := rejectSpec(2)
+	path := filepath.Join(t.TempDir(), "coord.ckpt")
+	j, err := campaign.OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, srv := newTestCoordinator(t, Config{Spec: spec, MinLease: 4, MaxLease: 4, Journal: j})
+	l := grantLease(t, srv, "t")
+	if resp, msg := postResults(t, srv, l.Sig, l.ID, gzEntries(t, []campaign.RunEntry{fakeEntry(l.Start, 30)}), false, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("journaled upload: %s %q", resp.Status, msg)
+	}
+	j.Close() // every later append fails
+	resp, msg := postResults(t, srv, l.Sig, l.ID, gzEntries(t, []campaign.RunEntry{fakeEntry(l.Start+1, 30)}), false, "")
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("upload the journal could not record: got %s %q, want 500", resp.Status, msg)
+	}
+	if c.merger.Done() != 1 || c.merger.IsDone(l.Start+1) {
+		t.Fatalf("done = %d, want only the journaled run merged", c.merger.Done())
+	}
+	reopened, err := campaign.OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.CompletedIndices(); len(got) != 1 || got[0] != l.Start {
+		t.Fatalf("journal holds runs %v, want [%d]", got, l.Start)
 	}
 }
 

@@ -153,18 +153,17 @@ func newScheduler(runs []campaign.Run, isDone func(int) bool, ttl time.Duration,
 		affinity:   affinity,
 		rnd:        rand.New(rand.NewSource(1)),
 	}
-	if len(runs) > 0 {
-		s.free = []segment{{0, len(runs)}}
-		s.pending = len(runs)
-		for i := 0; i < len(runs); {
-			j := i
-			for j < len(runs) && cellOf(runs[j]) == cellOf(runs[i]) {
-				j++
-			}
-			k := cellOf(runs[i])
-			s.cellBlocks[k] = append(s.cellBlocks[k], segment{i, j})
-			i = j
+	// Every run not merged yet is free: all of them on a fresh campaign,
+	// the journal's complement on a restart.
+	s.reclaim(0, len(runs))
+	for i := 0; i < len(runs); {
+		j := i
+		for j < len(runs) && cellOf(runs[j]) == cellOf(runs[i]) {
+			j++
 		}
+		k := cellOf(runs[i])
+		s.cellBlocks[k] = append(s.cellBlocks[k], segment{i, j})
+		i = j
 	}
 	return s
 }

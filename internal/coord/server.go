@@ -32,6 +32,11 @@ type Config struct {
 	MinLease, MaxLease int
 	// Log, when non-nil, receives coordinator progress lines.
 	Log func(format string, args ...any)
+	// Journal, when non-nil, is the campaign's checkpoint journal, opened
+	// for Spec. The coordinator folds its runs in at start and appends
+	// every run it merges for the first time before acknowledging the
+	// upload, so a restart over the same journal resumes.
+	Journal *campaign.Journal
 }
 
 // Coordinator owns one campaign: it cuts leases for pulling workers,
@@ -53,14 +58,18 @@ type Coordinator struct {
 	leaseUp  map[int64]map[int]bool
 	leaseAgg map[int64]map[core.Generation]*scenario.Aggregate
 
+	// replayed counts the runs folded in from the journal at start;
+	// throughput and ETA count only the runs merged after them.
+	replayed int
 	start    time.Time
 	now      func() time.Time
 	done     chan struct{}
 	doneOnce sync.Once
 }
 
-// NewCoordinator resolves the spec and returns a coordinator ready to
-// serve.
+// NewCoordinator resolves the spec, folds in the runs already on record
+// in cfg.Journal, and returns a coordinator ready to serve the rest. A
+// journal that holds every run yields a coordinator that is already Done.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	m, err := campaign.NewMerger(cfg.Spec)
 	if err != nil {
@@ -68,6 +77,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if m.Total() == 0 {
 		return nil, fmt.Errorf("coord: campaign has no runs")
+	}
+	if j := cfg.Journal; j != nil {
+		if j.Sig() != m.Sig() {
+			return nil, fmt.Errorf("coord: journal belongs to a different campaign (spec %.12s…, want %.12s…)",
+				j.Sig(), m.Sig())
+		}
+		for _, i := range j.CompletedIndices() {
+			r, _ := j.Completed(i)
+			if _, err := m.Accept(campaign.RunEntry{Index: i, Digest: r.Digest(), Result: r}); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
@@ -77,12 +98,16 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		merger:   m,
 		leaseUp:  make(map[int64]map[int]bool),
 		leaseAgg: make(map[int64]map[core.Generation]*scenario.Aggregate),
+		replayed: m.Done(),
 		now:      time.Now,
 		done:     make(chan struct{}),
 	}
 	c.sched = newScheduler(m.Runs(), m.IsDone, cfg.LeaseTTL, cfg.MinLease, cfg.MaxLease, true)
 	c.sched.instrument = true
 	c.start = c.now()
+	if m.Complete() {
+		c.doneOnce.Do(func() { close(c.done) })
+	}
 	return c, nil
 }
 
@@ -104,22 +129,6 @@ func (c *Coordinator) Digest() string { return c.merger.Digest() }
 // Done has closed.
 func (c *Coordinator) Aggregates() map[core.Generation]*scenario.Aggregate {
 	return c.merger.Aggregates()
-}
-
-// ShardResult packages the completed campaign as the campaign result
-// file: index 0 of 1, covering every run. `-serve -out` writes it and
-// `<tool> -merge` prints its tables again.
-func (c *Coordinator) ShardResult() *campaign.ShardResult {
-	return &campaign.ShardResult{
-		Index:      0,
-		Count:      1,
-		Start:      0,
-		End:        c.merger.Total(),
-		Total:      c.merger.Total(),
-		Sig:        c.merger.Sig(),
-		Profile:    c.cfg.Profile,
-		Aggregates: c.merger.Aggregates(),
-	}
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -264,6 +273,15 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 
 	accepted, dups := 0, 0
 	for _, e := range entries {
+		if c.cfg.Journal != nil && !c.merger.IsDone(e.Index) {
+			// Journaled before it merges, so the journal holds every run
+			// this coordinator merged: a write error fails the upload
+			// unacknowledged.
+			if err := c.cfg.Journal.Append(c.merger.Runs()[e.Index], e.Result); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+		}
 		dup, err := c.merger.Accept(e)
 		if err != nil {
 			// A conflicting digest for an already-merged run: the worker is
@@ -395,8 +413,8 @@ func (c *Coordinator) Status() Status {
 	st.AffinityHits = aff.Hits
 	st.AffinityMisses = aff.Misses
 	st.ElapsedSeconds = now.Sub(c.start).Seconds()
-	if st.Done > 0 && st.ElapsedSeconds > 0 {
-		st.RunsPerSec = float64(st.Done) / st.ElapsedSeconds
+	if merged := st.Done - c.replayed; merged > 0 && st.ElapsedSeconds > 0 {
+		st.RunsPerSec = float64(merged) / st.ElapsedSeconds
 		if st.Done < st.Total {
 			st.ETASeconds = float64(st.Total-st.Done) / st.RunsPerSec
 		}

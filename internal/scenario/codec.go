@@ -12,10 +12,11 @@ import (
 
 // Wire encoding for campaign persistence and distribution.
 //
-// Checkpoint journals persist per-run Results; campaign result files
-// persist Aggregates. Both must round-trip bit-exactly: a resumed or merged
-// campaign is verified against an uninterrupted one by digest, so a single
-// flipped mantissa bit would read as corruption. encoding/json already
+// Checkpoint journals and coordinator uploads carry per-run Results, and
+// an Aggregate digests over its encoding, accumulators included. Both must
+// encode bit-exactly: a resumed or served campaign is verified against an
+// uninterrupted one by digest, so a single flipped mantissa bit would read
+// as corruption. encoding/json already
 // round-trips finite float64s exactly (shortest-representation encoding),
 // leaving two gaps this file closes: NaN (a legal value for the landing
 // and detection metrics, but not a legal JSON number) and the Aggregate's

@@ -2,13 +2,12 @@ package scenario
 
 import "repro/internal/obs"
 
-// The scenario package's slice of the unified metrics plane: the registry
-// counters are the single source of truth (ReadPipelineStats reads the
-// pipeline series back for the bench commands). The scenario_pipeline_*
-// and scenario_planstage_* series are fed once per mission, at stage
-// retirement, by concurrent stages only. Registration happens once at
-// package init; all increments are lock-free and allocation-free, so the
-// mission hot path keeps its benchgate budgets.
+// The scenario package's slice of the unified metrics plane. The
+// scenario_pipeline_* and scenario_planstage_* series are fed once per
+// mission, at stage retirement, by concurrent stages only; -metrics dumps
+// them and perfbench's traced passes read them. Registration happens once
+// at package init; all increments are lock-free and allocation-free, so
+// the mission hot path keeps its benchgate budgets.
 var (
 	mPipeRuns = obs.NewCounter("scenario_pipeline_runs_total", "runs",
 		"pipelined-perception missions completed")

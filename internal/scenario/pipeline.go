@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/geom"
@@ -190,30 +188,4 @@ func (m *mission) applyPerception(i int, blackout bool, epoch *core.SensorEpoch)
 			Detail: payloadDetail(r.haveDepth, r.haveFrame), Value: float64(i - r.tick)})
 	}
 	return r.markerVisible
-}
-
-// PipelineStats is a snapshot of the process-wide pipelined-runner
-// counters. The counters live in the internal/obs Default registry as
-// scenario_pipeline_* series, fed by PipelineOn missions only; this is
-// the read side the bench commands print.
-type PipelineStats struct {
-	// Runs is the number of pipelined missions completed; Batches the
-	// number of perception results their control loops took.
-	Runs, Batches int64
-	// StageBusy is summed perception-stage compute; Stall is summed
-	// control-loop time blocked waiting for a tick-stamped delivery; Wall
-	// is summed pipelined-mission wall time. StageBusy - Stall is the
-	// compute the pipeline hid behind the control loop.
-	StageBusy, Stall, Wall time.Duration
-}
-
-// ReadPipelineStats returns the current process-wide counters.
-func ReadPipelineStats() PipelineStats {
-	return PipelineStats{
-		Runs:      mPipeRuns.Load(),
-		Batches:   mPipeBatches.Load(),
-		StageBusy: time.Duration(mPipeStageNs.Load()),
-		Stall:     time.Duration(mPipeStallNs.Load()),
-		Wall:      time.Duration(mPipeWallNs.Load()),
-	}
 }

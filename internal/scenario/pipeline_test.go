@@ -172,22 +172,24 @@ func TestPipelineApplyLag(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsAccumulate checks the process-wide overlap counters the
-// bench commands report.
+// TestPipelineStatsAccumulate checks the process-wide scenario_pipeline_*
+// counters a pipelined mission feeds, which -metrics dumps.
 func TestPipelineStatsAccumulate(t *testing.T) {
-	before := ReadPipelineStats()
+	counters := []*obs.Counter{mPipeRuns, mPipeBatches, mPipeStageNs, mPipeWallNs}
+	before := make([]int64, len(counters))
+	for i, c := range counters {
+		before[i] = c.Load()
+	}
 	if _, err := RunGridCell(core.V3, 2, 4, GridSeed(core.V3, 2, 4, 2), pipelineTiming(2), nil); err != nil {
 		t.Fatal(err)
 	}
-	after := ReadPipelineStats()
-	if after.Runs != before.Runs+1 {
-		t.Fatalf("Runs %d -> %d, want +1", before.Runs, after.Runs)
+	if runs := mPipeRuns.Load(); runs != before[0]+1 {
+		t.Fatalf("runs %d -> %d, want +1", before[0], runs)
 	}
-	if after.Batches <= before.Batches {
-		t.Fatalf("Batches %d -> %d, want growth", before.Batches, after.Batches)
-	}
-	if after.StageBusy <= before.StageBusy || after.Wall <= before.Wall {
-		t.Fatal("stage/wall time did not accumulate")
+	for i, name := range []string{"batches", "stage busy", "wall"} {
+		if after := counters[i+1].Load(); after <= before[i+1] {
+			t.Fatalf("%s %d -> %d, want growth", name, before[i+1], after)
+		}
 	}
 }
 

@@ -79,8 +79,8 @@ type Timing struct {
 	// deployment profile does: campaign Specs, checkpoint-journal
 	// signatures, and the coordinator's lease format. omitempty keeps the
 	// zero (PipelineOff) encoding byte-identical to the pre-pipeline
-	// Timing, so journals and result files recorded before this knob
-	// existed still match their campaign's signature.
+	// Timing, so journals recorded before this knob existed still match
+	// their campaign's signature.
 	Pipeline PipelineMode `json:",omitempty"`
 	// PipelineLatencyTicks is k when the pipeline is on: perception results
 	// captured at tick T are applied at tick T+k. Zero is a synchronous
@@ -94,7 +94,7 @@ type Timing struct {
 	// so it travels everywhere a deployment profile does — campaign Specs,
 	// checkpoint-journal signatures, the lease format — and omitempty
 	// keeps the nil encoding byte-identical to the pre-fault Timing, so
-	// recorded journals and result files still match their signatures. A
+	// recorded journals still match their signatures. A
 	// nil or empty plan costs nothing: the mission stays on the zero-alloc
 	// hot path, bit-identical to the pre-fault engine (guarded by the
 	// committed golden sweep digest).
@@ -111,7 +111,7 @@ type Timing struct {
 	// The off state is bit-identical to the historical engine and
 	// alloc-neutral (guarded by the committed golden sweep digest), and
 	// omitempty keeps the zero encoding byte-identical for recorded
-	// journals and result files.
+	// journals.
 	Fast bool `json:",omitempty"`
 	// Fleet, when non-nil with Size >= 2, flies N drones through the run's
 	// world in deterministic lockstep with inter-drone sensing (see
@@ -119,11 +119,11 @@ type Timing struct {
 	// so it travels everywhere a deployment profile does — campaign Specs,
 	// checkpoint-journal signatures, the lease format — and omitempty
 	// keeps the nil encoding byte-identical to the pre-fleet Timing, so
-	// recorded journals and result files still match their
-	// signatures. Off (nil, or Size <= 1, which Canonical normalizes to
-	// nil) costs one branch in Run and nothing per tick: bit-identical to
-	// the solo engine and alloc-neutral (guarded by the committed golden
-	// sweep digest and BenchmarkRunFleetOff).
+	// recorded journals still match their signatures. Off (nil, or
+	// Size <= 1, which Canonical normalizes to nil) costs one branch in
+	// Run and nothing per tick: bit-identical to the solo engine and
+	// alloc-neutral (guarded by the committed golden sweep digest and
+	// BenchmarkRunFleetOff).
 	Fleet *FleetSpec `json:",omitempty"`
 
 	// PlanLatencyTicks, when positive, runs path planning on its own

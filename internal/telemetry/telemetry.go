@@ -1,6 +1,5 @@
 // Package telemetry provides the small result-rendering utilities the
-// benchmark commands share: aligned tables for paper-style rows and the
-// pipelined runner's stage-overlap summary line.
+// benchmark commands share: aligned tables for paper-style rows.
 package telemetry
 
 import (
@@ -8,7 +7,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Table accumulates rows and renders them with aligned columns.
@@ -78,25 +76,4 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// OverlapSummary renders the pipelined runner's stage-overlap report: how
-// much perception compute ran off the control loop (stageBusy), how long
-// the control loop stalled waiting on tick-stamped deliveries (stalled),
-// and — the number that matters — the fraction of stage cost the pipeline
-// hid behind control compute. All three bench commands print it under
-// -pipeline from scenario.ReadPipelineStats.
-func OverlapSummary(stageBusy, stalled, wall time.Duration) string {
-	if stageBusy <= 0 {
-		return "pipeline: no perception stage work recorded"
-	}
-	hidden := 1 - stalled.Seconds()/stageBusy.Seconds()
-	if hidden < 0 {
-		hidden = 0
-	}
-	if hidden > 1 {
-		hidden = 1
-	}
-	return fmt.Sprintf("pipeline: perception stage %.2fs off-loop, control stalled %.2fs over %.2fs of runs (%.0f%% of stage cost hidden)",
-		stageBusy.Seconds(), stalled.Seconds(), wall.Seconds(), 100*hidden)
 }
