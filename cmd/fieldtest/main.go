@@ -121,9 +121,8 @@ func main() {
 
 	fmt.Println("\nReal-world results (paper §V-C)")
 	fmt.Printf("  aggregate digest: %s\n", report.Digest())
-	fmt.Printf("  success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights (%.1fs wall on %d workers, %.2fx speedup)\n",
-		agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs,
-		report.Wall.Seconds(), report.Workers, report.Speedup())
+	fmt.Printf("  success %.1f%%, collision %.1f%%, poor landing %.1f%% over %d flights; %s\n",
+		agg.SuccessRate(), agg.CollisionRate(), agg.PoorLandingRate(), agg.Runs, cliutil.RunsSummary(report))
 	printFigures(agg)
 	timeline, err := cliutil.FaultTimeline(spec, report.Results)
 	if err != nil {

@@ -118,8 +118,7 @@ func main() {
 
 	report := cf.Execute("hilbench", spec, opts)
 
-	fmt.Printf("completed %d runs in %.1fs wall (%.1fs of runs on %d workers, %.2fx speedup vs -workers=1)\n",
-		len(report.Results), report.Wall.Seconds(), report.Busy.Seconds(), report.Workers, report.Speedup())
+	fmt.Printf("campaign done: %s\n", cliutil.RunsSummary(report))
 	hits, misses, resident := worldgen.Shared.Stats()
 	fmt.Printf("world cache: %d hits / %d generations, %d worlds resident\n",
 		hits, misses, resident)

@@ -181,8 +181,7 @@ func main() {
 		fmt.Printf("flight-recorder trace written to %s (validate with: go run ./tools/tracecheck %s)\n", cf.Trace, cf.Trace)
 	}
 
-	fmt.Printf("campaign done in %.1fs wall (%.1fs of runs on %d workers, %.2fx speedup vs -workers=1)\n",
-		report.Wall.Seconds(), report.Busy.Seconds(), report.Workers, report.Speedup())
+	fmt.Printf("campaign done: %s\n", cliutil.RunsSummary(report))
 	hits, misses, resident := worldgen.Shared.Stats()
 	fmt.Printf("world cache: %d hits / %d generations, %d worlds resident\n",
 		hits, misses, resident)

@@ -7,7 +7,7 @@
 // sequential tables bit for bit. This example sweeps two system
 // generations over a reduced balanced grid, streams progress with an ETA,
 // and prints the merged per-generation aggregate rows plus the measured
-// parallel speedup.
+// throughput of the runs it flew.
 //
 // It also demonstrates resume-after-cancel: runs are journaled to a
 // checkpoint file as they finish, so interrupting the sweep loses
@@ -100,8 +100,8 @@ func main() {
 	}
 	fmt.Printf("\naggregate digest: %s (bit-identical for any worker count or resume history)\n",
 		report.Digest())
-	fmt.Printf("%d workers, %.1fs wall for %.1fs of runs — %.2fx speedup over sequential\n",
-		report.Workers, report.Wall.Seconds(), report.Busy.Seconds(), report.Speedup())
+	fmt.Printf("%d runs flown on %d workers in %.1fs wall (%.1f runs/s), %d replayed from the checkpoint\n",
+		report.Flown, report.Workers, report.Wall.Seconds(), float64(report.Flown)/report.Wall.Seconds(), report.Replayed)
 
 	// A finished campaign's journal has served its purpose. Close before
 	// removing (deleting an open file fails on some platforms); the

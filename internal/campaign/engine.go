@@ -88,32 +88,9 @@ type Report struct {
 	// Workers is the pool size actually used; 0 when a checkpoint replay
 	// covered every run and no worker had anything to execute.
 	Workers int
-}
-
-// Speedup estimates the wall-clock speedup over sequential execution of
-// the same campaign: total per-run busy time divided by elapsed time.
-// With one worker it sits just below 1.
-//
-// On oversubscribed pools (workers > schedulable cores) goroutine
-// interleaving inflates each run's measured wall time — N runs
-// time-slicing one core each appear to take N times longer while the
-// pool still finishes at hardware speed — so the raw busy/wall ratio
-// over-reads. The ratio is therefore clamped to the achievable
-// parallelism, min(workers, GOMAXPROCS): no pool can speed a campaign up
-// by more than the smaller of the two. (GOMAXPROCS, not NumCPU — it is
-// the scheduler's actual limit under cgroup quotas or explicit caps.)
-func (r *Report) Speedup() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	s := r.Busy.Seconds() / r.Wall.Seconds()
-	if r.Workers > 0 {
-		limit := float64(min(r.Workers, runtime.GOMAXPROCS(0)))
-		if s > limit {
-			s = limit
-		}
-	}
-	return s
+	// Flown counts the runs executed by this call; Replayed counts those
+	// delivered from the checkpoint journal instead.
+	Flown, Replayed int
 }
 
 // Execute runs the campaign described by spec across a worker pool.
@@ -171,6 +148,8 @@ func Execute(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 	report := &Report{
 		Aggregates: make(map[core.Generation]*scenario.Aggregate),
 		Workers:    workers,
+		Flown:      n - len(replay),
+		Replayed:   len(replay),
 	}
 	if n == 0 {
 		return report, ctx.Err()

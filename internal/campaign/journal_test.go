@@ -212,8 +212,9 @@ func TestResumeCompleteJournal(t *testing.T) {
 	if got.Digest() != want.Digest() {
 		t.Fatal("fully-replayed campaign diverges from uninterrupted run")
 	}
-	if got.Workers != 0 {
-		t.Errorf("fully-replayed campaign reports %d workers, want 0", got.Workers)
+	if got.Workers != 0 || got.Flown != 0 || got.Replayed != spec.Total() {
+		t.Errorf("fully-replayed campaign reports %d workers, %d flown, %d replayed; want 0, 0, %d",
+			got.Workers, got.Flown, got.Replayed, spec.Total())
 	}
 }
 

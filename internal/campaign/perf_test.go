@@ -3,9 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
@@ -67,32 +65,5 @@ func TestCampaignMatchesNaiveSweep(t *testing.T) {
 		got.Collision != naiveAgg.Collision || got.PoorLanding != naiveAgg.PoorLanding ||
 		got.FalseNegativeRate != naiveAgg.FalseNegativeRate {
 		t.Fatalf("aggregates differ:\ncampaign: %+v\nnaive:    %+v", got, naiveAgg)
-	}
-}
-
-// TestSpeedupClampsOversubscription covers the Report.Speedup fix: on an
-// oversubscribed pool the inflated busy/wall ratio is clamped to the
-// achievable parallelism min(workers, cores) instead of over-reading.
-func TestSpeedupClampsOversubscription(t *testing.T) {
-	cores := runtime.GOMAXPROCS(0)
-	over := &Report{
-		Wall:    time.Second,
-		Busy:    time.Duration(100*cores) * time.Second, // impossible: 100x cores
-		Workers: 4 * cores,
-	}
-	want := float64(min(over.Workers, cores))
-	if got := over.Speedup(); got != want {
-		t.Errorf("oversubscribed Speedup() = %v, want clamp to %v", got, want)
-	}
-
-	honest := &Report{Wall: 2 * time.Second, Busy: 3 * time.Second, Workers: cores}
-	if cores >= 2 {
-		if got := honest.Speedup(); got != 1.5 {
-			t.Errorf("in-bounds Speedup() = %v, want 1.5 untouched", got)
-		}
-	}
-
-	if (&Report{Busy: time.Second, Workers: 2}).Speedup() != 0 {
-		t.Error("zero-wall report should report 0 speedup")
 	}
 }

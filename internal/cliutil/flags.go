@@ -211,6 +211,21 @@ func (f *CampaignFlags) Execute(tool string, spec campaign.Spec, opts campaign.O
 	return report
 }
 
+// RunsSummary describes what a local campaign did in this process: the
+// runs it flew, at their measured wall-clock rate, and the runs it
+// replayed from its checkpoint journal.
+func RunsSummary(r *campaign.Report) string {
+	if r.Flown == 0 {
+		return fmt.Sprintf("no run flown, %d replayed from the checkpoint journal", r.Replayed)
+	}
+	s := fmt.Sprintf("%d runs flown in %.1fs wall (%.1f runs/s on %d workers)",
+		r.Flown, r.Wall.Seconds(), float64(r.Flown)/r.Wall.Seconds(), r.Workers)
+	if r.Replayed > 0 {
+		s += fmt.Sprintf(", %d replayed from the checkpoint journal", r.Replayed)
+	}
+	return s
+}
+
 // PrintFleetAndDependability prints the hardware tools' airspace and
 // fault-campaign rows; each is silent when its knob is off.
 func PrintFleetAndDependability(agg scenario.Aggregate) {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -197,4 +198,25 @@ func TestOpenCheckpointRoundTrip(t *testing.T) {
 
 	f.CheckpointHint("test", true)  // exercises the hint path
 	f.CheckpointHint("test", false) // and the silent one
+}
+
+// TestRunsSummary: the closing line reports the measured rate of the
+// runs flown in this process and counts the replayed ones, and a replay
+// of a complete journal says it flew nothing instead of printing a rate.
+func TestRunsSummary(t *testing.T) {
+	for _, tc := range []struct {
+		r    campaign.Report
+		want string
+	}{
+		{campaign.Report{Wall: 2 * time.Second, Workers: 2, Flown: 8},
+			"8 runs flown in 2.0s wall (4.0 runs/s on 2 workers)"},
+		{campaign.Report{Wall: time.Second, Workers: 1, Flown: 3, Replayed: 5},
+			"3 runs flown in 1.0s wall (3.0 runs/s on 1 workers), 5 replayed from the checkpoint journal"},
+		{campaign.Report{Wall: time.Millisecond, Replayed: 8},
+			"no run flown, 8 replayed from the checkpoint journal"},
+	} {
+		if got := RunsSummary(&tc.r); got != tc.want {
+			t.Errorf("RunsSummary(%+v) = %q, want %q", tc.r, got, tc.want)
+		}
+	}
 }

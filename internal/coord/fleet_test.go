@@ -29,8 +29,9 @@ import (
 // path there).
 
 // TestLoopbackFleetDigestIdentity is the at-least-once proof: 4 workers,
-// one rigged to die mid-lease without uploading; the lease expires,
-// re-dispatches, and the merged digest still equals the direct run's.
+// one (of two slots) rigged to die mid-lease without uploading; its
+// leases expire, re-dispatch, and the merged digest still equals the
+// direct run's.
 func TestLoopbackFleetDigestIdentity(t *testing.T) {
 	spec := campaign.Spec{
 		Maps:        campaign.Range(3),
@@ -60,10 +61,11 @@ func TestLoopbackFleetDigestIdentity(t *testing.T) {
 	defer cancel()
 
 	// The chaos worker goes first, alone, so it is guaranteed a lease; it
-	// dies after one run with its results journaled but never uploaded.
+	// dies after one run over both its slots, with its results journaled
+	// but never uploaded.
 	chaosDir := t.TempDir()
 	_, err = Work(ctx, WorkerOptions{
-		Addr: srv.URL, Name: "chaos", CheckpointDir: chaosDir,
+		Addr: srv.URL, Name: "chaos", EngineWorkers: 2, CheckpointDir: chaosDir,
 		PollInterval: 20 * time.Millisecond, FlushEvery: 64, DieAfterRuns: 1,
 	})
 	if !errors.Is(err, errChaosDeath) {

@@ -56,6 +56,9 @@ func FuzzLeaseHeartbeat(f *testing.F) {
 	f.Add(false, []byte(`{}`))
 	f.Add(false, []byte(`{"worker":""}`))
 	f.Add(false, []byte(`{"worker":"t"}`))
+	f.Add(false, []byte(`{"worker":"t","slots":-1}`))
+	f.Add(false, []byte(`{"worker":"t","slots":0}`))
+	f.Add(false, []byte(`{"worker":"t","slots":1099511627776}`)) // 1<<40
 	f.Add(false, []byte(`not json`))
 	f.Add(true, []byte(`{"lease":999,"worker":"t"}`))
 	f.Add(true, []byte(`{"lease":1,"worker":"w0","done":1}`))
@@ -115,7 +118,7 @@ func schedulerState(c *Coordinator) string {
 	slices.Sort(names)
 	for _, name := range names {
 		w := s.workers[name]
-		fmt.Fprintf(&b, "worker %q seen=%v rejects=%d cells=%v\n", name, w.lastSeen, w.rejects, w.cells)
+		fmt.Fprintf(&b, "worker %q seen=%v slots=%d rejects=%d cells=%v\n", name, w.lastSeen, w.slots, w.rejects, w.cells)
 	}
 	return b.String()
 }

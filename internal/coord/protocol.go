@@ -56,6 +56,10 @@ type LeaseRequest struct {
 	// Worker names the requesting worker (stable across reconnects, so
 	// cell-affinity history survives a worker restart).
 	Worker string `json:"worker"`
+	// Slots is how many leases the worker flies at once (its engine
+	// slots). The scheduler sizes leases over the slots of the active
+	// fleet; absent or below 1 means 1.
+	Slots int `json:"slots,omitempty"`
 }
 
 // Lease is one contiguous slice of the campaign's canonical run order,
@@ -133,7 +137,7 @@ type Status struct {
 	Done           int     `json:"done"`
 	Leased         int     `json:"leased"`  // runs under an active lease
 	Pending        int     `json:"pending"` // runs free for dispatch
-	Workers        int     `json:"workers"` // workers seen within the activity window
+	Workers        int     `json:"workers"` // workers seen within the activity window, however many slots each
 	Leases         int     `json:"leases"`  // leases issued so far
 	Expired        int     `json:"expired"` // leases lost and re-dispatched
 	Dups           int     `json:"duplicates"`

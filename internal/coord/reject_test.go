@@ -47,7 +47,12 @@ func newTestCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Serve
 
 func grantLease(t *testing.T, srv *httptest.Server, worker string) *Lease {
 	t.Helper()
-	body, _ := json.Marshal(LeaseRequest{Worker: worker})
+	return grantSlotLease(t, srv, LeaseRequest{Worker: worker})
+}
+
+func grantSlotLease(t *testing.T, srv *httptest.Server, req LeaseRequest) *Lease {
+	t.Helper()
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(srv.URL+PathLease, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

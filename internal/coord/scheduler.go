@@ -18,9 +18,11 @@ import (
 //     leases mid-campaign keep the HTTP round-trip cost per run near
 //     zero, but a big lease near the tail turns the campaign's wall time
 //     into max(worker) instead of sum/workers — one straggler holds the
-//     finish line. Size therefore tracks pending/(sizeFactor·workers):
-//     it starts large and shrinks as the tail approaches, so losing a
-//     straggler near the end costs seconds, not a thousand-run lease.
+//     finish line. Size therefore tracks pending/(sizeFactor·slots),
+//     where slots sums the engine slots of the active workers (each slot
+//     flies its own leases): it starts large and shrinks as the tail
+//     approaches, so losing a straggler near the end costs seconds, not
+//     a thousand-run lease.
 //
 //   - Cell affinity. Runs for the same grid cell (map, scenario) share an
 //     immutable cached world; a worker that has flown a cell holds its
@@ -113,6 +115,9 @@ type workerState struct {
 	// model of the worker's world-cache residency.
 	cells    map[cellKey]bool
 	lastSeen time.Time
+	// slots is the engine-slot count of the worker's latest lease
+	// request, clamped to [1, maxSlots]; 0 (never asked) counts as 1.
+	slots int
 	// rejects counts result uploads from this worker refused whole (any
 	// reason); surfaced per worker in /v1/status.
 	rejects int
@@ -130,6 +135,10 @@ const (
 	// workerActivityWindow multiplies the TTL to decide how recently a
 	// worker must have pulled or beaten to count as active for sizing.
 	workerActivityWindow = 3
+	// maxSlots caps a worker's declared slots: more only shrinks leases
+	// toward minLease, and the cap keeps the fleet's slot sum far from
+	// overflow.
+	maxSlots = 1 << 10
 )
 
 func newScheduler(runs []campaign.Run, isDone func(int) bool, ttl time.Duration, minLease, maxLease int, affinity bool) *scheduler {
@@ -238,25 +247,24 @@ func (s *scheduler) insertFree(seg segment) {
 	}
 }
 
-// activeWorkers counts workers seen within the activity window.
-func (s *scheduler) activeWorkers(now time.Time) int {
-	n := 0
+// active counts the workers seen within the activity window and the
+// engine slots they declared.
+func (s *scheduler) active(now time.Time) (workers, slots int) {
 	cutoff := now.Add(-workerActivityWindow * s.ttl)
 	for _, w := range s.workers {
 		if !w.lastSeen.Before(cutoff) {
-			n++
+			workers++
+			slots += max(w.slots, 1)
 		}
 	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return workers, slots
 }
 
 // leaseSize picks the next lease's target size from the live pending
-// count and worker population, clamped to [minLease, maxLease].
+// count and the active fleet's slots, clamped to [minLease, maxLease].
 func (s *scheduler) leaseSize(now time.Time) int {
-	size := s.pending / (s.sizeFactor * s.activeWorkers(now))
+	_, slots := s.active(now)
+	size := s.pending / (s.sizeFactor * max(slots, 1))
 	if size < s.minLease {
 		size = s.minLease
 	}
@@ -277,12 +285,14 @@ func (s *scheduler) touch(worker string, now time.Time) *workerState {
 	return w
 }
 
-// lease cuts the next lease for the requesting worker, or returns nil
-// when nothing is free right now (the worker should poll again — an
-// expiry or a released lease may free work at any time).
-func (s *scheduler) lease(worker string, now time.Time) *leaseState {
+// lease cuts the next lease for the requesting worker, which flies slots
+// leases at once, or returns nil when nothing is free right now (the
+// worker should poll again — an expiry or a released lease may free work
+// at any time).
+func (s *scheduler) lease(worker string, slots int, now time.Time) *leaseState {
 	s.sweep(now)
 	w := s.touch(worker, now)
+	w.slots = min(max(slots, 1), maxSlots)
 	if len(s.free) == 0 {
 		return nil
 	}
@@ -530,7 +540,7 @@ func SimulateScheduling(spec campaign.Spec, nWorkers int, affinity bool) (Affini
 		progressed := false
 		jitter.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 		for _, n := range names {
-			l := s.lease(n, now)
+			l := s.lease(n, 1, now)
 			if l == nil {
 				continue
 			}

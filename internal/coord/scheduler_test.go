@@ -39,7 +39,7 @@ func TestLeaseSizeShrinksTowardTail(t *testing.T) {
 
 	var sizes []int
 	for {
-		l := s.lease("w0", now)
+		l := s.lease("w0", 1, now)
 		if l == nil {
 			break
 		}
@@ -69,11 +69,34 @@ func TestLeaseSizeShrinksTowardTail(t *testing.T) {
 	}
 }
 
+// TestLeaseSizeCountsActiveSlots: leases are sized over the engine slots
+// of the active fleet, not its worker count, so a one-slot lease takes
+// about as long to fly as a whole-worker lease did. Declared slots clamp
+// to [1, maxSlots].
+func TestLeaseSizeCountsActiveSlots(t *testing.T) {
+	// One run per cell, so no lease is stretched to a cell boundary.
+	s, _ := newTestScheduler(t, schedSpec(8, 8, 1), 0, 0)
+	now := time.Unix(0, 0)
+	s.lease("a", 1, now)
+	s.lease("b", 3, now)
+	pending := s.pending
+	l := s.lease("a", 1, now)
+	if got, want := l.end-l.start, pending/(defaultSizeFactor*4); got != want {
+		t.Fatalf("lease of %d runs with %d pending over 1+3 slots, want %d", got, pending, want)
+	}
+	for slots, want := range map[int]int{-1: 1, 0: 1, 1 << 40: maxSlots} {
+		s.lease("c", slots, now)
+		if got := s.workers["c"].slots; got != want {
+			t.Errorf("declared slots %d recorded as %d, want %d", slots, got, want)
+		}
+	}
+}
+
 func TestLeaseRespectsCellBoundaries(t *testing.T) {
 	s, done := newTestScheduler(t, schedSpec(4, 2, 3), 0, 0)
 	now := time.Unix(0, 0)
 	for {
-		l := s.lease("w0", now)
+		l := s.lease("w0", 1, now)
 		if l == nil {
 			break
 		}
@@ -95,7 +118,7 @@ func TestExpiredLeaseRedispatches(t *testing.T) {
 	s, _ := newTestScheduler(t, schedSpec(2, 2, 1), 0, 0)
 	now := time.Unix(0, 0)
 
-	l1 := s.lease("w0", now)
+	l1 := s.lease("w0", 1, now)
 	if l1 == nil || l1.start != 0 {
 		t.Fatalf("first lease should start at 0, got %+v", l1)
 	}
@@ -108,7 +131,7 @@ func TestExpiredLeaseRedispatches(t *testing.T) {
 	}
 	// ...but silence past the TTL hands the range to the next puller.
 	late := now.Add(s.ttl/2 + s.ttl + time.Millisecond)
-	l2 := s.lease("w1", late)
+	l2 := s.lease("w1", 1, late)
 	if l2 == nil || l2.start != 0 {
 		t.Fatalf("expired range should re-dispatch from 0, got %+v", l2)
 	}
@@ -123,7 +146,7 @@ func TestExpiredLeaseRedispatches(t *testing.T) {
 func TestReclaimPunchesOutMergedRuns(t *testing.T) {
 	s, done := newTestScheduler(t, schedSpec(4, 2, 1), 16, 16)
 	now := time.Unix(0, 0)
-	l := s.lease("w0", now)
+	l := s.lease("w0", 1, now)
 	if l == nil || l.end-l.start != 16 {
 		t.Fatalf("want the whole 16-run campaign in one lease, got %+v", l)
 	}
@@ -172,7 +195,7 @@ func TestAffinityRoutesAndStealTransfersOwnership(t *testing.T) {
 	now := time.Unix(0, 0)
 	take := func(worker string) *leaseState {
 		t.Helper()
-		l := s.lease(worker, now)
+		l := s.lease(worker, 1, now)
 		if l == nil {
 			t.Fatalf("%s: expected a lease", worker)
 		}
@@ -201,7 +224,7 @@ func TestAffinityRoutesAndStealTransfersOwnership(t *testing.T) {
 	if owner := s.cellOwner[k]; owner != "w1" {
 		t.Fatalf("stealing must transfer ownership: owner of %v = %q, want w1", k, owner)
 	}
-	if s.lease("w0", now) != nil {
+	if s.lease("w0", 1, now) != nil {
 		t.Fatal("campaign should be drained")
 	}
 }

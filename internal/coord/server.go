@@ -159,7 +159,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	l := c.sched.lease(req.Worker, c.now())
+	l := c.sched.lease(req.Worker, req.Slots, c.now())
 	if l != nil {
 		c.leaseUp[l.id] = make(map[int]bool)
 		c.leaseAgg[l.id] = make(map[core.Generation]*scenario.Aggregate)
@@ -364,7 +364,9 @@ func decodeEntries(body io.Reader, total int) ([]campaign.RunEntry, error) {
 	defer zr.Close()
 	var entries []campaign.RunEntry
 	sc := bufio.NewScanner(zr)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	// A line is a few KB: start at the scanner's own small buffer rather
+	// than allocating 64 KB per upload, and grow up to 4 MB on demand.
+	sc.Buffer(nil, 4*1024*1024)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -396,10 +398,11 @@ func (c *Coordinator) Status() Status {
 	now := c.now()
 	c.mu.Lock()
 	c.sched.sweep(now)
+	workers, _ := c.sched.active(now)
 	st := Status{
 		Leased:        c.sched.leasedRuns(),
 		Pending:       c.sched.pending,
-		Workers:       c.sched.activeWorkers(now),
+		Workers:       workers,
 		Leases:        c.sched.issued,
 		Expired:       c.sched.expired,
 		WorkersDetail: c.sched.workerDetail(now),

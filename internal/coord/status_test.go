@@ -3,6 +3,7 @@ package coord
 import (
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,40 @@ func TestStatusEndpoint(t *testing.T) {
 	case <-c.Done():
 	case <-time.After(time.Second):
 		t.Fatal("done channel did not close")
+	}
+}
+
+// TestStatusCountsWorkersSeen: /v1/status counts the workers that have
+// pulled, each once however many slots it flies — none on a coordinator
+// that a complete journal finished before any worker came.
+func TestStatusCountsWorkersSeen(t *testing.T) {
+	spec := rejectSpec(2)
+	runs, err := spec.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := campaign.OpenJournal(filepath.Join(t.TempDir(), "coord.ckpt"), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i, ru := range runs {
+		if err := j.Append(ru, fakeEntry(i, 10).Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, _ := newTestCoordinator(t, Config{Spec: spec, Journal: j})
+	if st := c.Status(); !st.Complete || st.Workers != 0 {
+		t.Fatalf("complete journal: %d workers (complete %v), want 0 before any pull", st.Workers, st.Complete)
+	}
+
+	c, srv := newTestCoordinator(t, Config{Spec: spec, MinLease: 2, MaxLease: 2})
+	grantSlotLease(t, srv, LeaseRequest{Worker: "w", Slots: 2})
+	grantSlotLease(t, srv, LeaseRequest{Worker: "w", Slots: 2})
+	st := c.Status()
+	if st.Workers != 1 || len(st.WorkersDetail) != 1 || st.WorkersDetail[0].ActiveLeases != 2 {
+		t.Fatalf("a 2-slot worker holding two leases: %d workers, detail %+v; want 1 worker with 2 leases",
+			st.Workers, st.WorkersDetail)
 	}
 }
 

@@ -23,11 +23,13 @@ import (
 
 // Worker loop: pull a lease, execute it through the ordinary campaign
 // engine, stream the finished runs back, repeat until the coordinator
-// says 410. The checkpoint journal doubles as the upload buffer — every
-// finished run is journaled before it is uploaded, so a worker that
-// crashes mid-lease and re-acquires the same range replays its journal
-// through the engine's resume path and the replayed results flow straight
-// back into the upload stream; nothing flies twice.
+// says 410. A worker runs one such loop per engine slot, all under its
+// one name, so a slot whose lease ran dry pulls the next lease while the
+// others keep flying theirs. The checkpoint journal doubles as the
+// upload buffer — every finished run is journaled before it is uploaded,
+// so a worker that crashes mid-lease and re-acquires the same range
+// replays its journal through the engine's resume path and the replayed
+// results flow straight back into the upload stream; nothing flies twice.
 
 // WorkerOptions parameterizes Work.
 type WorkerOptions struct {
@@ -37,11 +39,13 @@ type WorkerOptions struct {
 	// restarts (the default hostname:pid is NOT stable) so cell-affinity
 	// history and journal reuse survive a crash.
 	Name string
-	// EngineWorkers is the per-lease engine parallelism (the familiar
-	// -workers); 0 means 1.
+	// EngineWorkers is the number of engine slots (the familiar
+	// -workers); 0 means 1. Each slot pulls and flies its own leases, so
+	// the worker holds up to this many at once.
 	EngineWorkers int
 	// CheckpointDir, when set, journals every lease to
-	// <dir>/lease-<subsig>.journal for crash-safe resume.
+	// <dir>/lease-<subsig>.journal for crash-safe resume; the journal is
+	// removed once the lease's final upload is acknowledged.
 	CheckpointDir string
 	// PollInterval is the retry cadence when the coordinator has nothing
 	// free (204); 0 means 500ms.
@@ -55,8 +59,8 @@ type WorkerOptions struct {
 	Client *http.Client
 
 	// DieAfterRuns is a chaos hook for tests: the worker kills itself
-	// (no final upload, journal left behind) after executing this many
-	// runs. 0 disables.
+	// (no final upload, journals left behind) after executing this many
+	// runs across all its slots. 0 disables.
 	DieAfterRuns int
 
 	// executeFn stubs the engine in handler-level tests; nil means
@@ -90,9 +94,15 @@ var errChaosDeath = fmt.Errorf("coord: worker died (chaos hook)")
 type worker struct {
 	opts WorkerOptions
 	base string
-	sum  WorkerSummary
+
+	mu  sync.Mutex // guards sum: every slot adds to it
+	sum WorkerSummary
 	// executed counts runs flown across all leases, for DieAfterRuns.
 	executed atomic.Int64
+	// gone closes when a slot hears 410, so a sibling waiting out a 204
+	// poll stops at once instead of sleeping a full PollInterval.
+	gone     chan struct{}
+	goneOnce sync.Once
 }
 
 // Work joins the coordinator at opts.Addr and executes leases until the
@@ -126,34 +136,73 @@ func Work(ctx context.Context, opts WorkerOptions) (*WorkerSummary, error) {
 	if opts.executeFn == nil {
 		opts.executeFn = campaign.Execute
 	}
-	w := &worker{opts: opts, base: strings.TrimRight(opts.Addr, "/")}
+	w := &worker{opts: opts, base: strings.TrimRight(opts.Addr, "/"), gone: make(chan struct{})}
 
+	// One pull loop per engine slot; the first error stops them all.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	for range opts.EngineWorkers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.pull(ctx); err != nil {
+				errOnce.Do(func() { firstErr = err })
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	return &w.sum, firstErr
+}
+
+// pull is one engine slot's loop: lease, fly, upload, until the campaign
+// completes. The slot's gzip writer is reset for every upload instead of
+// allocated anew.
+func (w *worker) pull(ctx context.Context) error {
+	zw := gzip.NewWriter(nil)
 	for {
 		if err := ctx.Err(); err != nil {
-			return &w.sum, err
+			return err
 		}
 		lease, status, err := w.requestLease(ctx)
 		switch {
 		case err != nil:
-			return &w.sum, err
+			return err
 		case status == http.StatusGone:
 			// Campaign complete: the fleet's shutdown signal.
-			w.logf("campaign complete, exiting")
-			return &w.sum, nil
+			w.goneOnce.Do(func() {
+				w.logf("campaign complete, exiting")
+				close(w.gone)
+			})
+			return nil
 		case status == http.StatusNoContent:
 			// Everything pending is leased to someone else; an expiry may
 			// free work, so poll.
 			select {
 			case <-ctx.Done():
-				return &w.sum, ctx.Err()
-			case <-time.After(opts.PollInterval):
+				return ctx.Err()
+			case <-w.gone:
+				return nil
+			case <-time.After(w.opts.PollInterval):
 			}
 			continue
 		}
-		if err := w.runLease(ctx, lease); err != nil {
-			return &w.sum, err
+		if err := w.runLease(ctx, lease, zw); err != nil {
+			return err
 		}
 	}
+}
+
+// add folds a change into the summary every slot shares.
+func (w *worker) add(f func(*WorkerSummary)) {
+	w.mu.Lock()
+	f(&w.sum)
+	w.mu.Unlock()
 }
 
 func (w *worker) logf(format string, args ...any) {
@@ -166,7 +215,7 @@ func (w *worker) logf(format string, args ...any) {
 // (and any transport error) retries a few times before giving up — the
 // coordinator restarting mid-campaign should not kill the fleet.
 func (w *worker) requestLease(ctx context.Context) (*Lease, int, error) {
-	body, err := json.Marshal(LeaseRequest{Worker: w.opts.Name})
+	body, err := json.Marshal(LeaseRequest{Worker: w.opts.Name, Slots: w.opts.EngineWorkers})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -209,10 +258,11 @@ func (w *worker) requestLease(ctx context.Context) (*Lease, int, error) {
 	return nil, 0, lastErr
 }
 
-// runLease executes one lease end to end: verify, (re)open the journal,
-// run the engine with chunked uploads riding OnResult, heartbeat in the
-// background, and finalize with the lease aggregate digest.
-func (w *worker) runLease(ctx context.Context, lease *Lease) error {
+// runLease executes one lease end to end on one engine slot: verify,
+// (re)open the journal, run the engine with chunked uploads riding
+// OnResult, heartbeat in the background, and finalize with the lease
+// aggregate digest. zw is the slot's gzip writer.
+func (w *worker) runLease(ctx context.Context, lease *Lease, zw *gzip.Writer) error {
 	sub := lease.Spec()
 	subSig, err := sub.Signature()
 	if err != nil {
@@ -239,6 +289,7 @@ func (w *worker) runLease(ctx context.Context, lease *Lease) error {
 		done      atomic.Int64
 		abandoned atomic.Bool
 		died      atomic.Bool
+		acked     bool // the final upload was acknowledged
 	)
 	flush := func(final bool, digest string) error {
 		mu.Lock()
@@ -249,20 +300,19 @@ func (w *worker) runLease(ctx context.Context, lease *Lease) error {
 		if len(pending) == 0 && !final {
 			return nil
 		}
-		reply, err := w.upload(leaseCtx, lease, pending, final, digest)
+		reply, err := w.upload(leaseCtx, zw, lease, pending, final, digest)
 		if err != nil {
 			uploadErr = err
 			cancel() // no point finishing runs nobody will accept
 			return err
 		}
-		w.sum.Uploaded += reply.Accepted
-		w.sum.Duplicates += reply.Duplicates
+		w.add(func(s *WorkerSummary) { s.Uploaded += reply.Accepted; s.Duplicates += reply.Duplicates })
 		pending = pending[:0]
 		return nil
 	}
 
 	engineOpts := campaign.Options{
-		Workers: w.opts.EngineWorkers,
+		Workers: 1,
 		OnResult: func(ru campaign.Run, r scenario.Result) {
 			// Run indices are lease-local here; map back to the canonical
 			// campaign index through the lease's run list.
@@ -271,7 +321,7 @@ func (w *worker) runLease(ctx context.Context, lease *Lease) error {
 			pending = append(pending, campaign.RunEntry{Index: canonical, Digest: r.Digest(), Result: r})
 			n := len(pending)
 			mu.Unlock()
-			w.sum.Runs++
+			w.add(func(s *WorkerSummary) { s.Runs++ })
 			done.Add(1)
 			if w.opts.DieAfterRuns > 0 && w.executed.Add(1) >= int64(w.opts.DieAfterRuns) {
 				// Chaos hook: stop mid-lease with journaled-but-unuploaded
@@ -300,9 +350,10 @@ func (w *worker) runLease(ctx context.Context, lease *Lease) error {
 		engineOpts.Checkpoint = j
 		defer func() {
 			j.Close()
-			// A finished lease's journal has served its purpose; a failed
-			// one stays behind for the next attempt.
-			if !abandoned.Load() && !died.Load() && uploadErr == nil {
+			// A lease whose final upload the coordinator acknowledged has
+			// no further use for its journal; any other (cancelled, failed,
+			// abandoned, died) keeps it for the next attempt.
+			if acked {
 				os.Remove(path)
 			}
 		}()
@@ -353,7 +404,7 @@ func (w *worker) runLease(ctx context.Context, lease *Lease) error {
 		return errChaosDeath
 	case abandoned.Load():
 		w.logf("lease %d: expired by coordinator, abandoning", lease.ID)
-		w.sum.Abandoned++
+		w.add(func(s *WorkerSummary) { s.Abandoned++ })
 		return nil // pull the next lease; our uploaded prefix is merged
 	case uploadErr != nil:
 		return uploadErr
@@ -369,20 +420,21 @@ func (w *worker) runLease(ctx context.Context, lease *Lease) error {
 	// context: leaseCtx is already canceled once the engine returns.
 	mu.Lock()
 	defer mu.Unlock()
-	reply, err := w.upload(ctx, lease, pending, true, report.Digest())
+	reply, err := w.upload(ctx, zw, lease, pending, true, report.Digest())
 	if err != nil {
 		return err
 	}
-	w.sum.Uploaded += reply.Accepted
-	w.sum.Duplicates += reply.Duplicates
-	w.sum.Leases++
+	acked = true
+	w.add(func(s *WorkerSummary) { s.Uploaded += reply.Accepted; s.Duplicates += reply.Duplicates; s.Leases++ })
 	return nil
 }
 
-// upload gzip-streams journal-format entries to the coordinator.
-func (w *worker) upload(ctx context.Context, lease *Lease, entries []campaign.RunEntry, final bool, digest string) (*ResultsReply, error) {
+// upload gzip-streams journal-format entries to the coordinator through
+// zw, reset onto a fresh buffer: the transport may still read the last
+// body after the reply, so only the compressor is reused.
+func (w *worker) upload(ctx context.Context, zw *gzip.Writer, lease *Lease, entries []campaign.RunEntry, final bool, digest string) (*ResultsReply, error) {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	zw.Reset(&buf)
 	enc := json.NewEncoder(zw)
 	for _, e := range entries {
 		if err := enc.Encode(e); err != nil {

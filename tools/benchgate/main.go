@@ -26,8 +26,9 @@
 //   - The fleet dispatch overhead: BenchmarkDispatchOverhead reports the
 //     loopback coordinator's wall-time cost over direct execution as an
 //     overhead-% metric; it must stay at or below 5%. Like the fast-mode
-//     ratio, both sides run in one process on one machine, so the
-//     percentage is stable enough to gate where absolute ns/op is not.
+//     ratio, both sides run in one process on one machine, and the
+//     benchmark itself reports the median of its per-pair overheads, the
+//     pairs alternating which side goes first.
 //
 //   - The fast-mode speedup: BenchmarkRunFast must run at least
 //     -min-fast-speedup times faster than BenchmarkRun *within the same
