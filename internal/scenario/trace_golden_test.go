@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,7 +22,9 @@ import (
 // testdata/trace_golden_digest.txt. TestTraceInlineVsPipelinedK0 compares
 // two runners within one commit; this test pins the bytes across commits,
 // so a runner rewrite that reorders, adds or drops an event fails here
-// even if every runner drifts the same way.
+// even if every runner drifts the same way. Fleet cases fly at GOMAXPROCS
+// 1 and 4 and must hash the same both times: how many cores a fleet's
+// members tick on must not show in its trace.
 //
 // Regenerate (after an *intentional* change to what the recorder emits,
 // never to paper over a diff you can't explain):
@@ -57,14 +60,18 @@ func traceGoldenCases(t *testing.T) []traceGoldenCase {
 		timing.Faults = plan
 		return timing
 	}
-	fleet := SILTiming()
-	fleet.Fleet = &FleetSpec{Size: 3}
+	fleet := func(base Timing, spec FleetSpec) Timing {
+		base.Fleet = &spec
+		return base.Canonical()
+	}
 	return []traceGoldenCase{
 		{name: "inline", timing: SILTiming()},
 		{name: "inline-sensor", timing: withPreset("sensor"), faulted: true},
 		{name: "inline-blackout", timing: withPreset("blackout"), faulted: true},
 		{name: "fast", timing: SILTiming().WithFast()},
-		{name: "fleet3", timing: fleet.Canonical()},
+		{name: "fleet3", timing: fleet(SILTiming(), FleetSpec{Size: 3})},
+		{name: "fleet8-dense", timing: fleet(SILTiming(), FleetSpec{Size: 8, Spacing: 3})},
+		{name: "fleet4-sensor", timing: fleet(withPreset("sensor"), FleetSpec{Size: 4}), faulted: true},
 	}
 }
 
@@ -81,15 +88,29 @@ func traceGoldenDigest(t *testing.T, c traceGoldenCase) string {
 		t.Fatalf("%s: trace ring dropped %d events; raise the test capacity", c.name, tr.Dropped())
 	}
 	events := tr.Events()
-	if c.faulted {
-		faults := 0
-		for _, ev := range events {
-			if ev.Kind == "fault" {
-				faults++
-			}
+	faults, separations := 0, 0
+	endTicks := map[int]bool{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case "fault":
+			faults++
+		case "separation":
+			separations++
+		case "end":
+			endTicks[ev.Tick] = true
 		}
-		if faults == 0 {
-			t.Fatalf("%s: no fault edges recorded; the cell ends before the plan starts", c.name)
+	}
+	if c.faulted && faults == 0 {
+		t.Fatalf("%s: no fault edges recorded; the cell ends before the plan starts", c.name)
+	}
+	if c.timing.Fleet != nil {
+		// A fleet case pins the lockstep hand-off only if pairs close in
+		// and members retire at different ticks while the rest fly on.
+		if separations == 0 {
+			t.Fatalf("%s: no separation events recorded; the fleet never closes in", c.name)
+		}
+		if len(endTicks) < 2 {
+			t.Fatalf("%s: every member ended at one tick; no staggered teardown is pinned", c.name)
 		}
 	}
 	var buf bytes.Buffer
@@ -102,13 +123,18 @@ func traceGoldenDigest(t *testing.T, c traceGoldenCase) string {
 }
 
 // TestTraceGoldenDigest flies every case and compares its trace digest
-// against the committed golden file.
+// against the committed golden file; fleet cases fly once per GOMAXPROCS
+// setting and must agree before either is compared.
 func TestTraceGoldenDigest(t *testing.T) {
 	cases := traceGoldenCases(t)
 	got := make(map[string]string, len(cases))
 	var content strings.Builder
 	for _, c := range cases {
-		got[c.name] = traceGoldenDigest(t, c)
+		if c.timing.Fleet == nil {
+			got[c.name] = traceGoldenDigest(t, c)
+		} else {
+			got[c.name] = fleetGoldenDigest(t, c)
+		}
 		fmt.Fprintf(&content, "%s %s\n", c.name, got[c.name])
 	}
 
@@ -143,4 +169,21 @@ func TestTraceGoldenDigest(t *testing.T) {
 			t.Errorf("%s: trace digest %s, golden %s", c.name, got[c.name], want[c.name])
 		}
 	}
+}
+
+// fleetGoldenDigest flies a fleet case at GOMAXPROCS 1 and 4 and returns
+// the digest both flights share.
+func fleetGoldenDigest(t *testing.T, c traceGoldenCase) string {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var digest string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		d := traceGoldenDigest(t, c)
+		if digest != "" && d != digest {
+			t.Fatalf("%s: trace digest %s at GOMAXPROCS %d, %s at 1", c.name, d, procs, digest)
+		}
+		digest = d
+	}
+	return digest
 }
