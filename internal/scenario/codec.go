@@ -186,10 +186,10 @@ func (r Result) Digest() string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// aggregateJSON is the wire form of an Aggregate: the integer counters
+// aggregateJSON is the digest form of an Aggregate: the integer counters
 // plus the exact fixed-point accumulators. The derived float columns are
-// deliberately absent — they are recomputed from the accumulators on
-// decode, so an aggregate can never be persisted in an inconsistent state.
+// deliberately absent — they are functions of the accumulators, so the
+// digest covers the exact sums rather than their rounded means.
 type aggregateJSON struct {
 	System         string `json:"system"`
 	Runs           int    `json:"runs"`
@@ -233,7 +233,7 @@ type aggregateJSON struct {
 	Platform *platformJSON `json:"platform,omitempty"`
 }
 
-// platformJSON is the wire form of an Aggregate's platform rows.
+// platformJSON is the digest form of an Aggregate's platform rows.
 type platformJSON struct {
 	Runs        int     `json:"runs"`
 	CPUSumHi    int64   `json:"cpu_sum_hi"`
@@ -248,8 +248,10 @@ type platformJSON struct {
 	LandedSumLo uint64  `json:"landed_sum_lo"`
 }
 
-// MarshalJSON implements json.Marshaler, persisting the accumulators so a
-// decoded aggregate merges bit-identically to the original.
+// MarshalJSON implements json.Marshaler, encoding the accumulators so the
+// digest of an aggregate pins its exact sums. Nothing decodes an
+// Aggregate: journals, leases and uploads carry Results, and every
+// receiver folds them into its own aggregates.
 func (a Aggregate) MarshalJSON() ([]byte, error) {
 	var platform *platformJSON
 	if a.PlatformRuns > 0 {
@@ -293,50 +295,6 @@ func (a Aggregate) MarshalJSON() ([]byte, error) {
 		ThrSumLo:             a.thrSum.lo,
 		Platform:             platform,
 	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (a *Aggregate) UnmarshalJSON(b []byte) error {
-	var v aggregateJSON
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*a = Aggregate{
-		System:               v.System,
-		Runs:                 v.Runs,
-		Success:              v.Success,
-		Collision:            v.Collision,
-		PoorLanding:          v.PoorLanding,
-		landSum:              fixed128{hi: v.LandSumHi, lo: v.LandSumLo},
-		landN:                v.LandN,
-		detSum:               fixed128{hi: v.DetSumHi, lo: v.DetSumLo},
-		detN:                 v.DetN,
-		visibleFrames:        v.VisibleFrames,
-		detectedFrames:       v.DetectedFrames,
-		FaultRuns:            v.FaultRuns,
-		DegradedTicks:        v.DegradedTicks,
-		FaultInjections:      v.FaultInjections,
-		RecoveredRuns:        v.RecoveredRuns,
-		recSum:               fixed128{hi: v.RecSumHi, lo: v.RecSumLo},
-		AbortCauses:          v.AbortCauses,
-		FleetRuns:            v.FleetRuns,
-		FleetDrones:          v.FleetDrones,
-		FleetSuccesses:       v.FleetSuccesses,
-		NearMisses:           v.NearMisses,
-		SeparationViolations: v.SeparationViolations,
-		thrSum:               fixed128{hi: v.ThrSumHi, lo: v.ThrSumLo},
-	}
-	if p := v.Platform; p != nil {
-		a.PlatformRuns = p.Runs
-		a.cpuSum = fixed128{hi: p.CPUSumHi, lo: p.CPUSumLo}
-		a.memSum = fixed128{hi: p.MemSumHi, lo: p.MemSumLo}
-		a.PeakMemMB = p.PeakMemMB
-		a.driftSum = fixed128{hi: p.DriftSumHi, lo: p.DriftSumLo}
-		a.LandedRuns = p.LandedN
-		a.landedSum = fixed128{hi: p.LandedSumHi, lo: p.LandedSumLo}
-	}
-	a.refresh()
-	return nil
 }
 
 // Digest returns the hex sha256 of the aggregate's canonical encoding.

@@ -49,48 +49,3 @@ func FuzzResultDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzAggregateDecode hammers Aggregate.UnmarshalJSON, whose payload
-// includes the raw 128-bit fixed-point accumulators — exactly the fields
-// a corrupted shard file would scramble.
-func FuzzAggregateDecode(f *testing.F) {
-	agg := NewAggregate("MLS-V3")
-	agg.Add(Result{Outcome: Success, Landed: true, LandingError: 0.3,
-		DetectionError: 0.2, MarkerVisibleFrames: 4, MarkerDetectedFrames: 4})
-	valid, err := json.Marshal(agg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte(`{"system":"MLS-V1","runs":1,"land_sum_hi":-1,"land_sum_lo":18446744073709551615,"land_n":1}`))
-	f.Add([]byte(`{"runs":"not-a-number"}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`[]`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var a Aggregate
-		if err := json.Unmarshal(data, &a); err != nil {
-			return
-		}
-		b, err := json.Marshal(a)
-		if err != nil {
-			t.Fatalf("decoded aggregate failed to re-encode: %v", err)
-		}
-		var a2 Aggregate
-		if err := json.Unmarshal(b, &a2); err != nil {
-			t.Fatalf("canonical encoding failed to decode: %v", err)
-		}
-		if a.Digest() != a2.Digest() {
-			t.Fatalf("round trip changed the digest:\n in: %s\nout: %s", b, data)
-		}
-		// Merging a decoded aggregate must also be digest-stable against
-		// merging the original (the shard-merge property).
-		m1 := NewAggregate(a.System)
-		m1.Merge(a)
-		m2 := NewAggregate(a2.System)
-		m2.Merge(a2)
-		if m1.Digest() != m2.Digest() {
-			t.Fatal("merge of decoded aggregate diverged from merge of original")
-		}
-	})
-}
