@@ -573,10 +573,11 @@ func BenchmarkRunFleetOff(b *testing.B) {
 }
 
 // BenchmarkRunFleet is the same cell flown as a 3-drone lockstep fleet:
-// three full missions interleaved tick by tick, plus the per-tick overlay
-// rebuild and the pairwise separation accounting. Reported for visibility
-// and snapshotted in BENCH_5.json; not gated — a fleet run is legitimately
-// about fleet-size times the solo cost.
+// three full missions advanced tick by tick, plus the per-tick overlay
+// rebuild and the pairwise separation accounting. Flown alone, the fleet
+// ticks its members on every idle core, so ns/op falls with GOMAXPROCS
+// while the CPU per op stays about fleet-size times the solo cost.
+// Reported for visibility and snapshotted in BENCH_5.json; not gated.
 func BenchmarkRunFleet(b *testing.B) {
 	timing := scenario.SILTiming()
 	timing.Fleet = &scenario.FleetSpec{Size: 3}

@@ -47,10 +47,12 @@ const (
 	PhaseExit  = "exit"
 )
 
-// Recorder receives flight-recorder events. The runner records only from
-// the mission's control-loop goroutine, so implementations need not be
-// goroutine-safe. A nil Recorder (the default) keeps the runner on its
-// untraced hot path: one pointer check per site, no allocations.
+// Recorder receives flight-recorder events. The runner calls Record only
+// on the goroutine running the mission — a fleet's members, which may
+// tick on helper goroutines, buffer their events and the runner flushes
+// them in member order — so implementations need not be goroutine-safe.
+// A nil Recorder (the default) keeps the runner on its untraced hot
+// path: one pointer check per site, no allocations.
 type Recorder interface {
 	Record(Event)
 }

@@ -3,8 +3,11 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -161,14 +164,16 @@ func fleetSpawn(w *sim.World, member int, spacing, radius float64) geom.Vec3 {
 // Run when the fleet knob is active; the solo engine never reaches it.
 //
 // The lockstep protocol per tick: (1) rebuild the overlay from every
-// airborne member's start-of-tick position; (2) advance each member by
-// one control tick in member order — every sensor sees the same
-// overlay snapshot, so sensing is symmetric and the member order only
-// matters for physics that already happened; (3) run the pairwise
+// airborne member's start-of-tick position; (2) advance each airborne
+// member by one control tick — every sensor sees the same overlay
+// snapshot and each member owns its system, sensors and RNG streams, so
+// the member ticks are independent and the crew below may fly them on
+// idle cores in any order; (3) in member order, finalize the members
+// that ended and flush their trace events; (4) run the pairwise
 // separation accounting on the post-tick positions. Members that land or
-// crash leave the overlay (and the airspace) from the next tick on. The
-// whole fleet runs on the caller's goroutine: determinism needs no locks
-// because nothing is concurrent.
+// crash leave the overlay (and the airspace) from the next tick on.
+// Everything but the member ticks runs on the caller's goroutine, so the
+// run is the same bits at any GOMAXPROCS.
 //
 // Composition: fleet mode always flies the exact inline engine — the
 // pipelined, fast and staged-planner knobs are ignored for the members
@@ -187,6 +192,10 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 
 	gen := sys.Config().Generation
 	members := make([]*mission, n)
+	// A traced fleet's members record into their own buffers, which the
+	// runner flushes into cfg.Recorder in member order: the recorder sees
+	// the serial order and is only ever called on this goroutine.
+	bufs := make([]eventBuffer, n)
 	ov := sim.NewOverlay()
 	for j := 0; j < n; j++ {
 		mcfg := cfg
@@ -206,6 +215,9 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 		}
 		m := newMission(sc, msys, mcfg)
 		m.member = j
+		if cfg.Recorder != nil {
+			m.rec = &bufs[j]
+		}
 		if j > 0 {
 			m.drone = sim.NewDrone(sim.DefaultDroneConfig(), fleetSpawn(sc.World, j, spacing, m.drone.Cfg.Radius))
 		}
@@ -219,30 +231,31 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 	band := make([]uint8, n*n)
 	nearMisses, violations := 0, 0
 
-	status := make([]tickStatus, n)
-	flying := n
-	steps := members[0].steps
-	for i := 0; i < steps && flying > 0; i++ {
-		ov.Reset()
-		for j, m := range members {
+	c := newCrew(members)
+	defer c.stop()
+	status := c.status
+	for i := 0; i < members[0].steps; i++ {
+		c.airborne = c.airborne[:0]
+		for j := range members {
 			if status[j] == tickContinue {
-				ov.Add(int32(j), m.drone.Pos, m.drone.Cfg.Radius)
+				c.airborne = append(c.airborne, j)
 			}
+		}
+		if len(c.airborne) == 0 {
+			break
+		}
+		ov.Reset()
+		for _, j := range c.airborne {
+			ov.Add(int32(j), members[j].drone.Pos, members[j].drone.Cfg.Radius)
 		}
 		ov.Rebuild()
 
-		for j, m := range members {
-			if status[j] != tickContinue {
-				continue
+		c.fly(i)
+		for _, j := range c.airborne {
+			if status[j] == tickDone {
+				members[j].classify()
 			}
-			st := m.tick(i)
-			if st != tickContinue {
-				if st == tickDone {
-					m.classify()
-				}
-				flying--
-			}
-			status[j] = st
+			bufs[j].flushTo(cfg.Recorder)
 		}
 
 		// Separation accounting over the members still airborne. The
@@ -289,6 +302,7 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 	for j, m := range members {
 		if status[j] == tickContinue {
 			m.classify()
+			bufs[j].flushTo(cfg.Recorder)
 		}
 		m.finish()
 	}
@@ -309,4 +323,116 @@ func runFleet(sc *worldgen.Scenario, sys *core.System, cfg RunConfig, fl *FleetS
 		res.FleetThroughput = float64(succ) / areaKm2
 	}
 	return res
+}
+
+// crew ticks a fleet's airborne members: the runner's goroutine plus up
+// to min(n, GOMAXPROCS) − 1 helpers parked for the run, all taking member
+// indices from one cursor. A tick borrows helpers only onto idle cores —
+// GOMAXPROCS less the missions in flight process-wide — and only when
+// two or more members have perception due, so a campaign that already
+// keeps every core busy flies its fleets serially, on the same loop,
+// rather than oversubscribing the scheduler.
+type crew struct {
+	members []*mission
+	// status is each member's latest tick verdict; a member's entry is
+	// written only by the goroutine that ticked it.
+	status []tickStatus
+	// airborne lists the members flying this tick, in member order, and
+	// next is the cursor over it.
+	airborne []int
+	next     atomic.Int32
+	tick     int
+	// wake holds one token per helper woken this tick, with room for
+	// every helper so waking never blocks the runner; done counts the
+	// woken helpers still working.
+	helpers int
+	wake    chan struct{}
+	done    sync.WaitGroup
+}
+
+// newCrew parks the run's helpers; with GOMAXPROCS 1 it starts none.
+func newCrew(members []*mission) *crew {
+	n := len(members)
+	c := &crew{
+		members:  members,
+		status:   make([]tickStatus, n),
+		airborne: make([]int, 0, n),
+		helpers:  min(n, runtime.GOMAXPROCS(0)) - 1,
+	}
+	if c.helpers > 0 {
+		c.wake = make(chan struct{}, c.helpers)
+		for h := 0; h < c.helpers; h++ {
+			go c.help()
+		}
+	}
+	return c
+}
+
+// help is a parked helper: each wake-up joins one tick's work.
+func (c *crew) help() {
+	for range c.wake {
+		c.work()
+		c.done.Done()
+	}
+	c.done.Done()
+}
+
+// work ticks airborne members until the cursor passes the last one.
+func (c *crew) work() {
+	for {
+		k := int(c.next.Add(1)) - 1
+		if k >= len(c.airborne) {
+			return
+		}
+		j := c.airborne[k]
+		c.status[j] = c.members[j].tick(c.tick)
+	}
+}
+
+// fly advances every airborne member by tick i and returns once all have.
+func (c *crew) fly(i int) {
+	c.tick = i
+	c.next.Store(0)
+	// A member without perception due ticks in less time than waking a
+	// helper costs, so only members with perception due count.
+	due := 0
+	for _, j := range c.airborne {
+		if c.members[j].perceptionDue() {
+			due++
+		}
+	}
+	borrow := min(runtime.GOMAXPROCS(0)-int(inFlight.Load()), c.helpers, due-1)
+	if borrow > 0 {
+		c.done.Add(borrow)
+		for h := 0; h < borrow; h++ {
+			c.wake <- struct{}{}
+		}
+	}
+	c.work()
+	c.done.Wait()
+}
+
+// stop releases the parked helpers and returns once they have exited.
+func (c *crew) stop() {
+	if c.wake != nil {
+		c.done.Add(c.helpers)
+		close(c.wake)
+		c.done.Wait()
+	}
+}
+
+// eventBuffer holds one fleet member's trace events until the runner
+// flushes them; its storage is reused tick after tick.
+type eventBuffer struct{ events []obs.Event }
+
+// Record implements obs.Recorder.
+func (b *eventBuffer) Record(ev obs.Event) { b.events = append(b.events, ev) }
+
+// flushTo hands the buffered events to rec in recording order; an
+// untraced member's buffer stays empty, so rec may then be nil.
+func (b *eventBuffer) flushTo(rec obs.Recorder) {
+	for _, ev := range b.events {
+		rec.Record(ev)
+	}
+	b.events = b.events[:0]
 }

@@ -9,14 +9,18 @@ import (
 	"repro/internal/worldgen"
 )
 
-// Race-hardening stress for the fleet lockstep runner. The lockstep loop
-// itself is single-goroutine by design, so the interesting windows are
-// between concurrent fleet runs: every member of every run reads the same
-// shared immutable world through worldgen.Shared while mutating its own
-// overlay, and campaign workers do exactly that in parallel. -race
-// watches the sharing here; beyond race freedom the test asserts the
-// acceptance property directly — a fleet run's bits must not depend on
-// GOMAXPROCS or on how many fleet missions fly concurrently.
+// Race-hardening stress for the fleet lockstep runner. Two windows
+// matter. Within a run, the runner hands member ticks to helper
+// goroutines on idle cores and takes them back before the overlay
+// rebuild, the member-order finalization and the separation accounting;
+// a fleet flown alone is the one that borrows, so each test flies lone
+// fleets. Between runs, every member of every run reads the same shared
+// immutable world through worldgen.Shared while mutating its own state,
+// and campaign workers do exactly that in parallel; with fewer idle cores
+// than fleets those runs fly serially, so each test also flies fleets
+// concurrently. -race watches both; beyond race freedom the tests assert
+// the acceptance property directly — a fleet run's bits must not depend
+// on GOMAXPROCS or on how many fleet missions fly concurrently.
 
 // fleetTiming is the SIL profile flying a 3-drone lockstep fleet.
 func fleetTiming() Timing {
@@ -26,8 +30,8 @@ func fleetTiming() Timing {
 }
 
 // TestFleetStressShuffledGOMAXPROCS runs the same fleet cell under a
-// shuffled sweep of GOMAXPROCS values, several missions concurrently per
-// setting, and demands bit-identical results throughout.
+// shuffled sweep of GOMAXPROCS values, one lone mission and then several
+// concurrently per setting, and demands bit-identical results throughout.
 func TestFleetStressShuffledGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress sweep of full fleet missions")
@@ -53,6 +57,13 @@ func TestFleetStressShuffledGOMAXPROCS(t *testing.T) {
 	sweep := []int{2, 1, prev, 4, 1, 2}
 	for _, gomax := range sweep {
 		runtime.GOMAXPROCS(gomax)
+		lone, err := RunGridCell(core.V1, 2, 4, seed, fleetTiming(), short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(ref, lone) {
+			t.Fatalf("GOMAXPROCS=%d lone fleet diverged\nref: %+v\ngot: %+v", gomax, ref, lone)
+		}
 		const concurrent = 3
 		results := make([]Result, concurrent)
 		errs := make([]error, concurrent)
@@ -80,13 +91,17 @@ func TestFleetStressShuffledGOMAXPROCS(t *testing.T) {
 // on a cell where missions end fast (collision-prone under V1), members
 // leave the overlay at different ticks while the rest of the formation
 // flies on, and the run must stay deterministic through the staggered
-// teardown. Run repeatedly, concurrently, so -race sees the world-cache
-// release alongside live fleets.
+// teardown. One lone repetition sends the staggered ends through the
+// helper hand-off; the rest run concurrently, so -race sees the
+// world-cache release alongside live fleets.
 func TestFleetEarlyTerminationTeardown(t *testing.T) {
 	// Map 3 scenario 7 under V1 terminates quickly and reliably; any
 	// terminal cell works — the point is the staggered member teardown.
 	seed := GridSeed(core.V1, 3, 7, 0)
-	var first Result
+	first, err := RunGridCell(core.V1, 3, 7, seed, fleetTiming(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reps := 8
 	if testing.Short() {
 		reps = 3
@@ -111,12 +126,8 @@ func TestFleetEarlyTerminationTeardown(t *testing.T) {
 		if !sameResult(r, other) {
 			t.Fatalf("concurrent fleet twin diverged\none: %+v\ntwo: %+v", r, other)
 		}
-		if rep == 0 {
-			first = r
-			continue
-		}
 		if !sameResult(first, r) {
-			t.Fatalf("teardown rep %d diverged\nfirst: %+v\ngot:   %+v", rep, first, r)
+			t.Fatalf("teardown rep %d diverged from the lone run\nlone: %+v\ngot:  %+v", rep, first, r)
 		}
 	}
 }

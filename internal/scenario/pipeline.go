@@ -125,6 +125,14 @@ func (m *mission) perceive(job perceptionJob) perceptionResult {
 	return res
 }
 
+// perceptionDue reports whether the mission's next tick captures depth
+// or a camera frame (a blackout aside): the ticks that carry its
+// perception cost. It reads the clocks submitPerception will compare.
+func (m *mission) perceptionDue() bool {
+	now := m.now + m.t.Dt
+	return now >= m.nextDepth || now >= m.nextDetect
+}
+
 // submitPerception hands the perception stage a job for the sensors due
 // at tick i, if any. Capture is recorded before fault dropouts apply;
 // apply records what actually arrived.

@@ -20,6 +20,7 @@ package scenario
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -206,12 +207,13 @@ type RunConfig struct {
 	// (see internal/obs): tick-stamped fault/blackout/degraded edges,
 	// perception capture/apply, staged-plan dispositions, fleet
 	// separation-band entries, and the terminal abort/end. Events derive
-	// only from deterministic simulation state and are recorded from the
-	// control-loop goroutine only. Nil (the default) costs one pointer
-	// check per site — the untraced path stays on the zero-alloc hot
-	// path, guarded by BenchmarkRunTraceOff. RunConfig is runtime-only
-	// (never part of campaign signatures), so the knob cannot perturb
-	// checkpoint or lease compatibility.
+	// only from deterministic simulation state, and Record is called only
+	// on the goroutine that called Run: a fleet's members buffer their
+	// ticks' events and the runner flushes them in member order. Nil
+	// (the default) costs one pointer check per site — the untraced path
+	// stays on the zero-alloc hot path, guarded by BenchmarkRunTraceOff.
+	// RunConfig is runtime-only (never part of campaign signatures), so
+	// the knob cannot perturb checkpoint or lease compatibility.
 	Recorder obs.Recorder
 	// RTK switches the GPS model to RTK-corrected output (§V-C
 	// mitigation study).
@@ -491,10 +493,16 @@ func (m *mission) finish() {
 	}
 }
 
+// inFlight counts the Run calls in progress process-wide; a fleet run
+// borrows only the cores the other missions leave idle.
+var inFlight atomic.Int64
+
 // Run executes one closed-loop mission of sys on scenario sc. With an
 // active fleet spec it flies the whole formation instead (fleet.go); the
 // solo path below costs exactly one nil-check when the knob is off.
 func Run(sc *worldgen.Scenario, sys *core.System, cfg RunConfig) Result {
+	inFlight.Add(1)
+	defer inFlight.Add(-1)
 	if fl := cfg.Timing.Fleet; fl.Active() {
 		return runFleet(sc, sys, cfg, fl)
 	}

@@ -26,8 +26,9 @@ import (
 //     RNG stream untouched (see DepthCamera.Capture / LidarAlt.Read).
 //
 // An Overlay belongs to one fleet run and is rebuilt between ticks by the
-// single goroutine driving the lockstep loop; it is never shared across
-// runs or workers.
+// goroutine driving the lockstep loop; between rebuilds its queries only
+// read, so members ticking on other goroutines may query it at once. It
+// is never shared across runs or workers.
 
 // DynamicSphere is one fleet vehicle registered in the overlay: its
 // current center, body radius, and the fleet member ID used for
