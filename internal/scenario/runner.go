@@ -499,7 +499,8 @@ var inFlight atomic.Int64
 
 // Run executes one closed-loop mission of sys on scenario sc. With an
 // active fleet spec it flies the whole formation instead (fleet.go); the
-// solo path below costs exactly one nil-check when the knob is off.
+// solo path below costs one nil-check when the knob is off, besides the
+// in-flight count every mission keeps.
 func Run(sc *worldgen.Scenario, sys *core.System, cfg RunConfig) Result {
 	inFlight.Add(1)
 	defer inFlight.Add(-1)
